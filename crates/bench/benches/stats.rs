@@ -1,7 +1,7 @@
-//! Measurement-substrate throughput: ECDF, P², histograms.
+//! Measurement-substrate throughput: ECDF, Welford, quantile sketch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use memlat_stats::{Ecdf, LogHistogram, P2Quantile, StreamingStats};
+use memlat_stats::{Ecdf, StreamingStats};
 use rand::{Rng, SeedableRng};
 
 fn samples(n: usize) -> Vec<f64> {
@@ -47,24 +47,6 @@ fn bench_streaming(c: &mut Criterion) {
                 s.push(x);
             }
             std::hint::black_box(s.mean())
-        })
-    });
-    g.bench_function("p2_100k", |b| {
-        b.iter(|| {
-            let mut p2 = P2Quantile::new(0.99);
-            for &x in &xs {
-                p2.push(x);
-            }
-            std::hint::black_box(p2.estimate())
-        })
-    });
-    g.bench_function("log_histogram_100k", |b| {
-        b.iter(|| {
-            let mut h = LogHistogram::for_latencies();
-            for &x in &xs {
-                h.record(x);
-            }
-            std::hint::black_box(h.quantile(0.99))
         })
     });
     g.finish();

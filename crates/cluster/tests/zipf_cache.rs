@@ -9,15 +9,26 @@
 //! (plus one per keyspace/skew change).
 //!
 //! `memlat_workload::alias_builds()` is a process-global counter, so
-//! this test lives in its own integration-test binary: `cargo test`
-//! runs each integration test file in its own process, keeping the
-//! exact-count assertions interference-free.
+//! these tests live in their own integration-test binary (`cargo test`
+//! runs each integration test file in its own process) and every test
+//! here that builds an alias table holds [`COUNTER_LOCK`]: the libtest
+//! harness runs a binary's tests on parallel threads, and a concurrent
+//! build would leak into the exact-count assertions.
 
 use memlat_cluster::{
     CacheBackedConfig, CacheRouting, ClusterSim, MissMode, Retention, SimConfig, SimScratch,
 };
 use memlat_model::ModelParams;
 use memlat_workload::alias_builds;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests that build alias tables in this process.
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+fn counter_lock() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next one still runs.
+    COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn cache_cfg(keyspace: u64, skew: f64, seed: u64) -> SimConfig {
     let params = ModelParams::builder().build().unwrap();
@@ -37,6 +48,7 @@ fn cache_cfg(keyspace: u64, skew: f64, seed: u64) -> SimConfig {
 
 #[test]
 fn sweep_builds_alias_table_once_per_configuration() {
+    let _serial = counter_lock();
     let mut scratch = SimScratch::new();
 
     // A 5-point sweep over 4 servers at a fixed (keyspace, skew):
@@ -77,6 +89,7 @@ fn sweep_builds_alias_table_once_per_configuration() {
 fn cached_popularity_is_bit_identical_to_fresh_build() {
     // The cache must be invisible in the output: a run reusing the
     // cached table equals a run that built its own from scratch.
+    let _serial = counter_lock();
     let a = ClusterSim::run(&cache_cfg(150_000, 1.05, 42)).unwrap();
     let mut scratch = SimScratch::new();
     ClusterSim::run_with(&cache_cfg(150_000, 1.05, 41), &mut scratch).unwrap();

@@ -29,7 +29,7 @@ impl Completion {
 ///
 /// Jobs must be submitted in non-decreasing arrival order (each stream
 /// the memlat simulator produces is time-ordered; merging unordered
-/// streams is the event queue's job). For a work-conserving FCFS server
+/// streams is the caller's job). For a work-conserving FCFS server
 /// the departure of job `n` is
 ///
 /// ```text

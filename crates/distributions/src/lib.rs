@@ -49,12 +49,10 @@ pub mod generalized_pareto;
 pub mod geometric;
 pub mod hyperexp;
 pub mod laplace;
-pub mod lognormal;
 pub mod multinomial;
 pub mod preset;
 pub mod simd;
 pub mod uniform;
-pub mod weibull;
 pub mod zipf;
 
 pub use binomial::Binomial;
@@ -64,11 +62,9 @@ pub use gamma::Gamma;
 pub use generalized_pareto::GeneralizedPareto;
 pub use geometric::GeometricBatch;
 pub use hyperexp::Hyperexponential;
-pub use lognormal::LogNormal;
 pub use multinomial::multinomial_counts;
 pub use preset::GapLaw;
 pub use uniform::Uniform;
-pub use weibull::Weibull;
 pub use zipf::Zipf;
 
 /// Error returned when a distribution is constructed with invalid

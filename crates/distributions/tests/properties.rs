@@ -2,7 +2,7 @@
 
 use memlat_dist::{
     Binomial, Continuous, Deterministic, Discrete, Exponential, Gamma, GeneralizedPareto,
-    GeometricBatch, Hyperexponential, LogNormal, Uniform, Weibull, Zipf,
+    GeometricBatch, Hyperexponential, Uniform, Zipf,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -15,8 +15,6 @@ fn all_continuous(mean: f64, xi: f64) -> Vec<Box<dyn Continuous>> {
         Box::new(Gamma::erlang(3, mean).unwrap()),
         Box::new(GeneralizedPareto::with_mean(xi, mean).unwrap()),
         Box::new(Hyperexponential::with_mean_scv(mean, 4.0).unwrap()),
-        Box::new(Weibull::with_mean(0.7, mean).unwrap()),
-        Box::new(LogNormal::with_mean_scv(mean, 1.5).unwrap()),
     ]
 }
 

@@ -187,6 +187,11 @@ mod tests {
         assert!((q.mean_wait() - 4.0).abs() < 1e-6);
         // P{W = 0} = 1 − ρ.
         assert!((q.waiting_cdf(0.0) - 0.2).abs() < 1e-7);
+        // Sojourn ~ Exp(μ − λ).
+        for t in [0.5_f64, 2.0, 10.0] {
+            let closed = 1.0 - (-0.2 * t).exp();
+            assert!((q.sojourn_cdf(t) - closed).abs() < 1e-7, "t={t}");
+        }
     }
 
     #[test]

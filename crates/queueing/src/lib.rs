@@ -3,16 +3,16 @@
 //! The paper (Cheng et al., ICDCS 2017) models each memcached server as a
 //! **GI^X/M/1** queue — general, independent batch arrivals (the burst and
 //! concurrency of key traffic) with exponential per-key service — and the
-//! cache-miss database stage as **M/M/1**. This crate implements:
+//! cache-miss database stage as **M/M/1** (that stage's eq. 23 closed
+//! form lives in `memlat_model::database`). This crate implements the
+//! server side:
 //!
 //! * [`gim1`] — the GI/M/1 queue: the fixed point `σ = L_A((1−σ)μ)`,
 //!   waiting/sojourn laws, quantiles.
 //! * [`gixm1`] — the paper's GI^X/M/1 batch queue, reduced to GI/M/1 by
 //!   collapsing each geometric batch into one exponential "super-job" with
 //!   rate `(1−q)μ_S` (§3 of the paper); per-key latency bounds of eq. (9).
-//! * [`mm1`] — closed-form M/M/1 (the database stage).
-//! * [`mg1`] — M/G/1 mean-value analysis (Pollaczek–Khinchine), used as an
-//!   ablation baseline.
+//! * [`exact_key`] — the exact per-key latency law of the batch queue.
 //! * [`delta`] — the `δ`-root solver shared by all of the above.
 //!
 //! # Examples
@@ -44,15 +44,11 @@ pub mod delta;
 pub mod exact_key;
 pub mod gim1;
 pub mod gixm1;
-pub mod mg1;
-pub mod mm1;
 
 pub use delta::solve_delta;
 pub use exact_key::ExactKeyLatency;
 pub use gim1::GiM1;
 pub use gixm1::GixM1;
-pub use mg1::MG1;
-pub use mm1::MM1;
 
 /// Error produced by the queueing solvers.
 #[derive(Debug, Clone, PartialEq)]

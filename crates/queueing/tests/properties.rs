@@ -1,7 +1,7 @@
 //! Property-based tests of the queueing laws.
 
 use memlat_dist::{Deterministic, Exponential, Gamma, GeneralizedPareto, Hyperexponential};
-use memlat_queue::{solve_delta, ExactKeyLatency, GiM1, GixM1, MM1};
+use memlat_queue::{solve_delta, ExactKeyLatency, GiM1, GixM1};
 use proptest::prelude::*;
 
 proptest! {
@@ -64,15 +64,6 @@ proptest! {
         let exact = ExactKeyLatency::new(&queue);
         prop_assert!((exact.cdf(t) - queue.completion_time_cdf(t)).abs() < 1e-12);
         prop_assert!((exact.cdf(t) - exact.cdf_mixture_form(t)).abs() < 1e-9);
-    }
-
-    /// M/M/1 sanity: Little's law and the PASTA-consistent mean ordering.
-    #[test]
-    fn mm1_laws(lam in 0.01f64..0.99) {
-        let q = MM1::new(lam, 1.0).unwrap();
-        prop_assert!((q.mean_in_system() - lam * q.mean_sojourn()).abs() < 1e-9);
-        prop_assert!(q.mean_wait() < q.mean_sojourn());
-        prop_assert!((q.sojourn_cdf(q.sojourn_quantile(0.7)) - 0.7).abs() < 1e-9);
     }
 
     /// Burstier shapes (higher ξ) give larger δ at equal utilization.

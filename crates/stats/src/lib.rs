@@ -8,9 +8,6 @@
 //!   Kolmogorov–Smirnov distances against model CDFs.
 //! * [`gof`] — goodness-of-fit tests (one/two-sample KS with asymptotic
 //!   p-values, chi-square) backing the conformance harness.
-//! * [`histogram`] — log-bucketed latency histograms for cheap
-//!   high-volume percentile estimation.
-//! * [`p2`] — the P² streaming quantile estimator (constant memory).
 //! * [`sketch`] — mergeable log-binned quantile sketch (bounded relative
 //!   error, exact merge) backing the parallel simulator's streaming
 //!   summaries.
@@ -42,17 +39,13 @@
 pub mod ci;
 pub mod ecdf;
 pub mod gof;
-pub mod histogram;
 pub mod maxstat;
-pub mod p2;
 pub mod sketch;
 pub mod streaming;
 
 pub use ci::ConfidenceInterval;
 pub use ecdf::Ecdf;
 pub use gof::GofTest;
-pub use histogram::LogHistogram;
 pub use maxstat::max_order_quantile;
-pub use p2::P2Quantile;
 pub use sketch::QuantileSketch;
 pub use streaming::StreamingStats;

@@ -1,7 +1,5 @@
 //! Max-statistics helpers — the approximation behind the paper's eq. 12.
 
-use crate::ecdf::Ecdf;
-
 /// The quantile level used to approximate the expectation of the maximum
 /// of `n` i.i.d. draws: `E[max] ≈ F⁻¹(n/(n+1))` (paper eq. 12, after
 /// Casella & Berger).
@@ -18,83 +16,14 @@ pub fn max_order_quantile(n: u64) -> f64 {
     n / (n + 1.0)
 }
 
-/// Estimates `E[max of n i.i.d. samples]` from an empirical distribution
-/// using the max-order-quantile approximation.
-///
-/// This is how the experiments turn a pooled per-key latency sample into
-/// an "`E[T_S(N)]` measured" value, mirroring how the paper's testbed
-/// numbers are produced.
-#[must_use]
-pub fn expected_max_from_ecdf(ecdf: &Ecdf, n: u64) -> f64 {
-    ecdf.quantile(max_order_quantile(n))
-}
-
-/// Monte-Carlo ground truth for `E[max of n]` by resampling the ECDF
-/// (used in tests and the Fig. 12/13 experiments to validate the
-/// approximation itself).
-#[must_use]
-pub fn expected_max_resampled(
-    ecdf: &Ecdf,
-    n: u64,
-    reps: usize,
-    rng: &mut dyn rand::RngCore,
-) -> f64 {
-    let mut acc = 0.0;
-    for _ in 0..reps {
-        let mut best = f64::NEG_INFINITY;
-        for _ in 0..n {
-            best = best.max(ecdf.resample(rng));
-        }
-        acc += best;
-    }
-    acc / reps as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn quantile_levels() {
         assert_eq!(max_order_quantile(0), 0.5); // clamped to n = 1
         assert_eq!(max_order_quantile(9), 0.9);
         assert!((max_order_quantile(999) - 0.999).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exponential_max_approximation() {
-        // For Exp(1), E[max of n] = H_n; the approximation gives
-        // -ln(1 - n/(n+1)) = ln(n+1). Check both against resampling.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let xs: Vec<f64> = (0..200_000)
-            .map(|_| -(1.0 - rng.gen::<f64>()).max(1e-15).ln())
-            .collect();
-        let e = Ecdf::from_samples(&xs);
-        let n = 50;
-        let approx = expected_max_from_ecdf(&e, n);
-        assert!((approx - 51f64.ln()).abs() < 0.15, "approx={approx}");
-        let mc = expected_max_resampled(&e, n, 4_000, &mut rng);
-        let exact = memlat_numerics::special::harmonic(n);
-        assert!((mc - exact).abs() < 0.2, "mc={mc} exact={exact}");
-        // The quantile approximation has a known downward bias of
-        // ≈ γ/ln n (≈ 15% at n = 50): E[max] = ln n + γ, approx = ln(n+1).
-        assert!(approx < exact);
-        assert!(
-            (approx / exact - 1.0).abs() < 0.2,
-            "approx={approx} exact={exact}"
-        );
-    }
-
-    #[test]
-    fn max_estimate_is_monotone_in_n() {
-        let xs: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
-        let e = Ecdf::from_samples(&xs);
-        let mut prev = 0.0;
-        for n in [1, 10, 100, 1_000] {
-            let v = expected_max_from_ecdf(&e, n);
-            assert!(v >= prev);
-            prev = v;
-        }
     }
 }

@@ -1,8 +1,6 @@
 //! Property-based tests for the measurement substrate.
 
-use memlat_stats::{
-    ConfidenceInterval, Ecdf, LogHistogram, P2Quantile, QuantileSketch, StreamingStats,
-};
+use memlat_stats::{ConfidenceInterval, Ecdf, QuantileSketch, StreamingStats};
 use proptest::prelude::*;
 
 proptest! {
@@ -56,34 +54,6 @@ proptest! {
         prop_assert!(d_self <= 1.0 / e.len() as f64 + 1e-12, "self distance {d_self}");
         let d_other = e.ks_distance(|_| 0.0);
         prop_assert!((0.0..=1.0 + 1e-12).contains(&d_other));
-    }
-
-    /// P² stays within the sample range and tracks the exact quantile on
-    /// well-behaved data.
-    #[test]
-    fn p2_within_range(xs in proptest::collection::vec(0.0f64..1e4, 50..3000), p in 0.05f64..0.95) {
-        let mut p2 = P2Quantile::new(p);
-        for &x in &xs {
-            p2.push(x);
-        }
-        let est = p2.estimate().unwrap();
-        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9, "est {est} outside [{lo}, {hi}]");
-    }
-
-    /// Log-histogram quantiles respect the bucket's relative-error bound.
-    #[test]
-    fn histogram_quantile_error_bounded(xs in proptest::collection::vec(1e-6f64..10.0, 10..2000), p in 0.05f64..0.95) {
-        let mut h = LogHistogram::new(1e-7, 100.0, 100);
-        for &x in &xs {
-            h.record(x);
-        }
-        let approx = h.quantile(p);
-        let exact = Ecdf::from_samples(&xs).quantile(p);
-        // One bucket is 10^(1/100) ≈ 2.33% wide; allow a couple buckets
-        // of slack for ties at the boundary.
-        prop_assert!((approx / exact).ln().abs() < 0.06, "approx {approx} vs exact {exact}");
     }
 
     /// Confidence intervals contain their own mean and shrink with level.

@@ -14,7 +14,7 @@
 //! | keys per request `N` | 150 | §5.1 |
 //! | servers `M` | 4 | §5.1 |
 
-use memlat_dist::{GeneralizedPareto, LogNormal, ParamError};
+use memlat_dist::{GeneralizedPareto, ParamError};
 
 use crate::arrival::BatchArrivals;
 
@@ -65,26 +65,6 @@ pub fn batch_arrivals() -> Result<BatchArrivals, ParamError> {
     BatchArrivals::new(Box::new(interarrival()?), CONCURRENCY_Q)
 }
 
-/// Key-size law (bytes): Atikoglu et al. report a strongly peaked
-/// distribution with mean ≈ 31 B (ETC pool); modeled log-normally.
-///
-/// # Errors
-///
-/// Never fails for the preset constants.
-pub fn key_size_bytes() -> Result<LogNormal, ParamError> {
-    LogNormal::with_mean_scv(31.0, 0.5)
-}
-
-/// Value-size law (bytes): heavy-tailed with median ≈ 135 B (ETC pool);
-/// modeled as a Generalized Pareto with mean 329 B (ξ = 0.35).
-///
-/// # Errors
-///
-/// Never fails for the preset constants.
-pub fn value_size_bytes() -> Result<GeneralizedPareto, ParamError> {
-    GeneralizedPareto::with_mean(0.35, 329.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,11 +85,5 @@ mod tests {
         assert_eq!(d.shape(), BURST_XI);
         // Mean batch gap = 1/((1−q)λ).
         assert!((d.mean() - 1.0 / (0.9 * KEY_RATE)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn size_laws_have_sane_means() {
-        assert!((key_size_bytes().unwrap().mean() - 31.0).abs() < 1e-6);
-        assert!((value_size_bytes().unwrap().mean() - 329.0).abs() < 1e-6);
     }
 }

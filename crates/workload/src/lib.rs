@@ -7,19 +7,18 @@
 //!
 //! * [`arrival`] — batch arrival processes: heavy-tailed Generalized
 //!   Pareto inter-batch gaps with geometric batch sizes (the paper's
-//!   `GI^X` traffic), plus Poisson/deterministic/trace variants.
+//!   `GI^X` traffic), plus Poisson/deterministic variants.
 //! * [`popularity`] — Zipf key popularity, the root cause of the paper's
 //!   unbalanced load distribution `{p_j}`.
-//! * [`placement`] — key-to-server mappings: static probabilities,
-//!   hash-mod, and a consistent-hash ring with virtual nodes.
+//! * [`placement`] — key-to-server mapping: a consistent-hash ring with
+//!   virtual nodes.
 //! * [`routing`] — the Zipf stream conditioned on ring ownership: exact
 //!   per-server shares `{p_j}` and conditional key samplers.
 //! * [`request`] — end-user request generation (`N` keys per request).
 //! * [`facebook`] — the §5.1 preset constants (`q = 0.1`, `ξ = 0.15`,
-//!   `λ = 62.5 Kps`, `μ_S = 80 Kps`, …) and key/value size laws.
+//!   `λ = 62.5 Kps`, `μ_S = 80 Kps`, …).
 //! * [`retry`] — client retry re-injection: a deterministic time-ordered
 //!   queue of re-issued attempts plus the exponential-backoff delay law.
-//! * [`trace`] — serializable traces for record/replay.
 //!
 //! # Examples
 //!
@@ -44,10 +43,9 @@ pub mod popularity;
 pub mod request;
 pub mod retry;
 pub mod routing;
-pub mod trace;
 
 pub use arrival::{ArrivalScratch, BatchArrivals};
-pub use placement::{ConsistentHashRing, HashMod, Placement, StaticProbability};
+pub use placement::ConsistentHashRing;
 pub use popularity::{alias_builds, WeightedAlias, ZipfPopularity};
 pub use request::RequestGenerator;
 pub use retry::RetryQueue;

@@ -1,24 +1,7 @@
 //! Key-to-server placement — the paper's key-to-server hashing algorithm
 //! and the source of `{p_j}`.
 
-use rand::RngCore;
-
 use crate::KeyId;
-
-/// Maps keys to memcached servers.
-///
-/// The paper abstracts placement into the load shares `{p_j}`; this trait
-/// lets the simulator either impose shares directly
-/// ([`StaticProbability`]) or derive them from real hashing schemes
-/// ([`HashMod`], [`ConsistentHashRing`]) applied to a skewed key
-/// population.
-pub trait Placement: std::fmt::Debug + Send + Sync {
-    /// The server index a key is stored on.
-    fn server_of(&self, key: KeyId) -> usize;
-
-    /// Number of servers.
-    fn servers(&self) -> usize;
-}
 
 /// FNV-1a 64-bit hash — small, fast, and good enough for key placement.
 #[must_use]
@@ -46,50 +29,13 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The classic `hash(key) mod M` placement.
-///
-/// # Examples
-///
-/// ```
-/// use memlat_workload::{HashMod, Placement};
-/// let p = HashMod::new(4);
-/// assert!(p.server_of(12345) < 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HashMod {
-    servers: usize,
-}
-
-impl HashMod {
-    /// Creates a modulo placement over `servers` servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers == 0`.
-    #[must_use]
-    pub fn new(servers: usize) -> Self {
-        assert!(servers > 0, "need at least one server");
-        Self { servers }
-    }
-}
-
-impl Placement for HashMod {
-    fn server_of(&self, key: KeyId) -> usize {
-        (hash_key(key) % self.servers as u64) as usize
-    }
-
-    fn servers(&self) -> usize {
-        self.servers
-    }
-}
-
 /// Consistent hashing with virtual nodes (the placement scheme memcached
 /// clients like ketama use).
 ///
 /// # Examples
 ///
 /// ```
-/// use memlat_workload::{ConsistentHashRing, Placement};
+/// use memlat_workload::ConsistentHashRing;
 /// let ring = ConsistentHashRing::new(4, 160);
 /// let s = ring.server_of(42);
 /// assert!(s < 4);
@@ -142,128 +88,32 @@ impl ConsistentHashRing {
             servers: self.servers,
         }
     }
-}
 
-impl Placement for ConsistentHashRing {
-    fn server_of(&self, key: KeyId) -> usize {
+    /// The server index a key is stored on.
+    #[must_use]
+    pub fn server_of(&self, key: KeyId) -> usize {
         let h = hash_key(key);
         let idx = self.ring.partition_point(|&(p, _)| p < h);
         let (_, server) = self.ring[idx % self.ring.len()];
         server
     }
 
-    fn servers(&self) -> usize {
+    /// Number of servers.
+    #[must_use]
+    pub fn servers(&self) -> usize {
         self.servers
     }
-}
-
-/// Imposes explicit load shares by hashing keys into probability bins —
-/// the placement that realizes the paper's `{p_j}` exactly (in
-/// expectation).
-///
-/// # Examples
-///
-/// ```
-/// use memlat_workload::{Placement, StaticProbability};
-/// let p = StaticProbability::new(&[0.75, 0.25]).unwrap();
-/// assert_eq!(p.servers(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct StaticProbability {
-    cumulative: Vec<f64>,
-}
-
-impl StaticProbability {
-    /// Creates the placement from shares that must sum to 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when shares are invalid.
-    pub fn new(shares: &[f64]) -> Result<Self, String> {
-        if shares.is_empty() {
-            return Err("need at least one share".to_string());
-        }
-        let sum: f64 = shares.iter().sum();
-        if (sum - 1.0).abs() > 1e-9 {
-            return Err(format!("shares must sum to 1, got {sum}"));
-        }
-        let mut cumulative = Vec::with_capacity(shares.len());
-        let mut acc = 0.0;
-        for &s in shares {
-            if !(s.is_finite() && s >= 0.0) {
-                return Err(format!("invalid share {s}"));
-            }
-            acc += s;
-            cumulative.push(acc);
-        }
-        *cumulative.last_mut().expect("non-empty") = 1.0;
-        Ok(Self { cumulative })
-    }
-
-    /// Samples a server index directly from the shares (for request
-    /// assembly, where no concrete key exists).
-    #[must_use]
-    pub fn sample_server(&self, rng: &mut dyn RngCore) -> usize {
-        let u = memlat_dist::open_unit(rng);
-        self.cumulative
-            .partition_point(|&c| c < u)
-            .min(self.cumulative.len() - 1)
-    }
-}
-
-impl Placement for StaticProbability {
-    fn server_of(&self, key: KeyId) -> usize {
-        // Map the key hash to [0,1) and bin by cumulative shares.
-        let u = hash_key(key) as f64 / (u64::MAX as f64 + 1.0);
-        self.cumulative
-            .partition_point(|&c| c <= u)
-            .min(self.cumulative.len() - 1)
-    }
-
-    fn servers(&self) -> usize {
-        self.cumulative.len()
-    }
-}
-
-/// Estimates the load shares `{p_j}` a placement induces on a key
-/// population by sampling `draws` keys from `sample_key`.
-pub fn induced_shares(
-    placement: &dyn Placement,
-    mut sample_key: impl FnMut() -> KeyId,
-    draws: usize,
-) -> Vec<f64> {
-    let mut counts = vec![0u64; placement.servers()];
-    for _ in 0..draws {
-        counts[placement.server_of(sample_key())] += 1;
-    }
-    counts
-        .into_iter()
-        .map(|c| c as f64 / draws as f64)
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn fnv_reference_vector() {
         // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn hashmod_spreads_uniformly() {
-        let p = HashMod::new(4);
-        let mut counts = [0u64; 4];
-        for k in 0..40_000u64 {
-            counts[p.server_of(k)] += 1;
-        }
-        for c in counts {
-            assert!((c as f64 / 10_000.0 - 1.0).abs() < 0.05, "{counts:?}");
-        }
     }
 
     #[test]
@@ -299,65 +149,5 @@ mod tests {
         assert!(moved > 0);
         // Roughly a quarter of keys should move.
         assert!((moved as f64 / total as f64 - 0.25).abs() < 0.1);
-    }
-
-    #[test]
-    fn static_probability_matches_shares() {
-        let p = StaticProbability::new(&[0.75, 0.1, 0.1, 0.05]).unwrap();
-        let shares = induced_shares(
-            &p,
-            {
-                let mut k = 0u64;
-                move || {
-                    k += 1;
-                    k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                }
-            },
-            100_000,
-        );
-        assert!((shares[0] - 0.75).abs() < 0.01, "{shares:?}");
-        assert!((shares[3] - 0.05).abs() < 0.01, "{shares:?}");
-    }
-
-    #[test]
-    fn static_probability_sampling_matches_shares() {
-        let p = StaticProbability::new(&[0.6, 0.4]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut counts = [0u64; 2];
-        for _ in 0..100_000 {
-            counts[p.sample_server(&mut rng)] += 1;
-        }
-        assert!(
-            (counts[0] as f64 / 100_000.0 - 0.6).abs() < 0.01,
-            "{counts:?}"
-        );
-    }
-
-    #[test]
-    fn static_probability_validation() {
-        assert!(StaticProbability::new(&[]).is_err());
-        assert!(StaticProbability::new(&[0.5, 0.4]).is_err());
-        assert!(StaticProbability::new(&[1.5, -0.5]).is_err());
-    }
-
-    #[test]
-    fn zipf_population_through_uniform_hash_balances() {
-        // Hashing smooths popularity only when no single key dominates a
-        // server: with a huge keyspace and mild skew, shares ≈ 1/M.
-        let ring = HashMod::new(4);
-        let z = memlat_dist::Zipf::new(1_000_000, 0.9).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let shares = induced_shares(
-            &ring,
-            || {
-                use memlat_dist::Discrete;
-                z.sample(&mut rng)
-            },
-            50_000,
-        );
-        for s in &shares {
-            assert!((s - 0.25).abs() < 0.1, "{shares:?}");
-        }
-        let _ = rng.gen::<u64>();
     }
 }

@@ -35,7 +35,7 @@
 use memlat_dist::ParamError;
 use rand::RngCore;
 
-use crate::placement::{ConsistentHashRing, Placement};
+use crate::placement::ConsistentHashRing;
 use crate::popularity::{WeightedAlias, ZipfPopularity};
 use crate::KeyId;
 

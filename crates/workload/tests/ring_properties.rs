@@ -3,7 +3,7 @@
 //! shrinking the ring by one server remaps only keys that touch that
 //! server.
 
-use memlat_workload::{ConsistentHashRing, Placement, RoutedKeyspace, ZipfPopularity};
+use memlat_workload::{ConsistentHashRing, RoutedKeyspace, ZipfPopularity};
 use proptest::prelude::*;
 
 proptest! {

@@ -6,31 +6,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use memlat::model::{cliff, ArrivalPattern, ModelParams, ServerLatencyModel};
-
-/// Finds the highest per-server key rate whose `E[T_S(N)]` stays below
-/// the SLA, by bisection on λ.
-fn max_rate_under_sla(xi: f64, sla: f64, mu_s: f64, n: u64) -> f64 {
-    let (mut lo, mut hi) = (1.0, mu_s * 0.999);
-    for _ in 0..50 {
-        let mid = 0.5 * (lo + hi);
-        let params = ModelParams::builder()
-            .arrival(ArrivalPattern::GeneralizedPareto { xi })
-            .key_rate_per_server(mid)
-            .service_rate(mu_s)
-            .build()
-            .expect("valid sweep point");
-        let ok = ServerLatencyModel::new(&params)
-            .map(|m| m.expected_latency(n) <= sla)
-            .unwrap_or(false);
-        if ok {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
+use memlat::model::{plan, ArrivalPattern, PlanningRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mu_s = 80_000.0;
@@ -51,15 +27,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for xi in [0.0, 0.15, 0.3, 0.5, 0.7] {
-        let cliff_rho = cliff::cliff_utilization(xi, 0.1)?;
-        let lam = max_rate_under_sla(xi, sla, mu_s, n);
-        let servers = (total_load / lam).ceil();
+        let cap = plan(&PlanningRequest {
+            arrival: ArrivalPattern::GeneralizedPareto { xi },
+            concurrency: 0.1,
+            service_rate: mu_s,
+            keys_per_request: n,
+            sla,
+            total_load,
+        })?;
         println!(
             "{xi:>5} {:>11.1}% {:>11.1} Kps {:>13.1}% {:>9}",
-            cliff_rho * 100.0,
-            lam / 1e3,
-            lam / mu_s * 100.0,
-            servers
+            cap.cliff_utilization * 100.0,
+            cap.max_rate_per_server / 1e3,
+            cap.utilization_at_sla * 100.0,
+            cap.servers_needed
         );
     }
 

@@ -8,7 +8,7 @@
 //! ```
 
 use memlat::model::{analysis, cliff, LoadDistribution, ModelParams, ServerLatencyModel};
-use memlat::workload::{placement::induced_shares, ConsistentHashRing, ZipfPopularity};
+use memlat::workload::{ConsistentHashRing, ZipfPopularity};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,11 +56,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nconsistent hashing under a server removal (Zipf keys, 4 → 3 servers):");
     let ring = ConsistentHashRing::new(4, 160);
     let pop = ZipfPopularity::new(10_000_000, 1.01)?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let before = induced_shares(&ring, || pop.sample_key(&mut rng), 200_000);
-    let smaller = ring.without_server(2);
-    let mut rng2 = rand::rngs::StdRng::seed_from_u64(1);
-    let after = induced_shares(&smaller, || pop.sample_key(&mut rng2), 200_000);
+    // Load shares the ring induces on 200k Zipf draws, same stream each time.
+    let shares = |ring: &ConsistentHashRing| {
+        const DRAWS: u32 = 200_000;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut counts = vec![0u32; ring.servers()];
+        for _ in 0..DRAWS {
+            counts[ring.server_of(pop.sample_key(&mut rng))] += 1;
+        }
+        counts
+            .into_iter()
+            .map(|c| f64::from(c) / f64::from(DRAWS))
+            .collect::<Vec<_>>()
+    };
+    let before = shares(&ring);
+    let after = shares(&ring.without_server(2));
     println!("  shares before: {before:?}");
     println!("  shares after : {after:?} (server 2 removed; its arc moved to successors)");
     Ok(())

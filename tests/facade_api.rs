@@ -25,7 +25,7 @@ fn facade_paths_compose() {
     assert_eq!(e.quantile(0.5), 2.0);
 
     // DES + workload + cache crates are reachable too.
-    let _ = memlat::des::EventQueue::<u32>::new();
+    let _ = memlat::des::FcfsStation::new();
     let _ = memlat::workload::facebook::KEY_RATE;
     let _ = memlat::cache::StoreConfig::default();
     let _ = memlat::numerics::KahanSum::new();
@@ -36,7 +36,8 @@ fn error_types_are_std_errors() {
     fn takes_error<E: std::error::Error>(_: &E) {}
     let model_err = ModelParams::builder().servers(0).build().unwrap_err();
     takes_error(&model_err);
-    let queue_err = memlat::queueing::MM1::new(2.0, 1.0).unwrap_err();
+    let overloaded = memlat::dist::Exponential::new(2.0).unwrap();
+    let queue_err = memlat::queueing::GiM1::solve(&overloaded, 1.0).unwrap_err();
     takes_error(&queue_err);
     let dist_err = GeneralizedPareto::new(2.0, 1.0).unwrap_err();
     takes_error(&dist_err);
