@@ -1,17 +1,30 @@
-//! Simulator throughput: keys/second through the queueing engine.
+//! Simulator micro-benchmarks the end-to-end benchmark (`perfbench`)
+//! does not time on their own: the single-server hot loop, the cluster
+//! at the default `Retention::Full` on the block path (the path Table 3
+//! and the figure sweeps take) and the request-level `e2e` simulator.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use memlat_bench::{base_params, cluster_config, UTILIZATIONS};
+use memlat_bench::base_params;
 use memlat_cluster::{
-    assembly::assemble_requests,
     config::MissMode,
     fault::{ClientPolicy, ServerFaults},
-    server::{simulate_server_streaming, ServerSimParams},
-    ClusterSim, Retention, SimConfig, SimScratch,
+    server::{
+        simulate_server_streaming_with, BlockScratch, KeyRecord, RecordSink, ServerSimParams,
+    },
+    ClusterSim, SimConfig,
 };
 use memlat_dist::GapLaw;
 use memlat_workload::facebook;
 use rand::SeedableRng;
+
+/// Counts resolved keys and keeps nothing else.
+struct Count(u64);
+
+impl RecordSink for Count {
+    fn record(&mut self, _: &KeyRecord) {
+        self.0 += 1;
+    }
+}
 
 /// The single-server DES hot loop in isolation: batch draws → FCFS
 /// Lindley recursion → miss decision, streamed into a counting sink.
@@ -22,11 +35,12 @@ fn bench_single_server(c: &mut Criterion) {
     g.throughput(Throughput::Elements(31_000));
     g.bench_function("facebook_0p5s_streaming", |b| {
         let mut seed = 0u64;
+        let mut scratch = BlockScratch::new();
         b.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut keys = 0u64;
-            let stats = simulate_server_streaming(
+            let mut keys = Count(0);
+            let stats = simulate_server_streaming_with(
                 ServerSimParams {
                     interarrival: GapLaw::from(facebook::interarrival().unwrap()),
                     concurrency: facebook::CONCURRENCY_Q,
@@ -42,33 +56,13 @@ fn bench_single_server(c: &mut Criterion) {
                     block: 1,
                 },
                 &mut rng,
-                |_| keys += 1,
+                &mut scratch,
+                &mut keys,
             )
             .unwrap();
-            std::hint::black_box((keys, stats.utilization));
+            std::hint::black_box((keys.0, stats.utilization));
         })
     });
-    g.finish();
-}
-
-/// The full cluster at the three utilization points of the `bench`
-/// binary, on the zero-materialization path with a reused scratch.
-fn bench_cluster_utilizations(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cluster_util");
-    g.sample_size(10);
-    for &(label, rho) in UTILIZATIONS {
-        g.bench_function(format!("{label}_0p2s_streaming").as_str(), |b| {
-            let mut scratch = SimScratch::new();
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let cfg = cluster_config(rho, 0.2)
-                    .seed(seed)
-                    .retention(Retention::Summary);
-                std::hint::black_box(ClusterSim::run_with(&cfg, &mut scratch).unwrap());
-            })
-        });
-    }
     g.finish();
 }
 
@@ -94,48 +88,6 @@ fn bench_cluster(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sequential vs parallel dispatch on the Table-3 configuration.
-/// The outputs are bit-identical; only wall-clock should differ.
-fn bench_parallel_speedup(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cluster_threads");
-    g.sample_size(10);
-    for threads in [1usize, 4] {
-        g.bench_function(format!("table3_0p5s_t{threads}").as_str(), |b| {
-            let mut seed = 0u64;
-            b.iter_batched(
-                || {
-                    seed += 1;
-                    SimConfig::new(base_params())
-                        .duration(0.5)
-                        .warmup(0.1)
-                        .seed(seed)
-                        .threads(threads)
-                },
-                |cfg| ClusterSim::run(&cfg).unwrap(),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_assembly(c: &mut Criterion) {
-    let out = ClusterSim::run(
-        &SimConfig::new(base_params())
-            .duration(0.5)
-            .warmup(0.1)
-            .seed(3),
-    )
-    .unwrap();
-    let mut g = c.benchmark_group("assembly");
-    g.throughput(Throughput::Elements(1_000));
-    g.bench_function("requests_n150_1k", |b| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        b.iter(|| assemble_requests(std::hint::black_box(&out), 150, 1_000, &mut rng))
-    });
-    g.finish();
-}
-
 fn bench_e2e(c: &mut Criterion) {
     use memlat_cluster::e2e::{run_e2e, E2eConfig};
     let mut g = c.benchmark_group("e2e");
@@ -155,13 +107,5 @@ fn bench_e2e(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_single_server,
-    bench_cluster,
-    bench_cluster_utilizations,
-    bench_parallel_speedup,
-    bench_assembly,
-    bench_e2e
-);
+criterion_group!(benches, bench_single_server, bench_cluster, bench_e2e);
 criterion_main!(benches);

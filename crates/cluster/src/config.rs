@@ -169,8 +169,7 @@ pub struct SimConfig {
     /// Sampling block size for the per-server hot loop. Keys are staged
     /// in fixed-size structure-of-arrays blocks so the uniform→law
     /// transforms and the FCFS Lindley scan run over contiguous slices.
-    /// `1` forces the scalar path; `0` (default) auto-detects: the
-    /// `MEMLAT_BLOCK` environment variable if set, else 1024. Any value
+    /// `1` forces the scalar path; `0` (default) means 1024. Any value
     /// produces bit-identical output — blocks consume the per-server RNG
     /// stream in exactly the scalar order.
     pub block: usize,
@@ -342,20 +341,14 @@ impl SimConfig {
     }
 
     /// The sampling block size to actually use: the explicit value, else
-    /// `MEMLAT_BLOCK`, else 1024. Always at least 1.
+    /// 1024. Always at least 1.
     #[must_use]
     pub fn effective_block(&self) -> usize {
         if self.block > 0 {
-            return self.block;
+            self.block
+        } else {
+            1024
         }
-        if let Ok(v) = std::env::var("MEMLAT_BLOCK") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        1024
     }
 }
 
@@ -399,11 +392,7 @@ mod tests {
     fn block_auto_detection_defaults_to_1024() {
         let c = SimConfig::new(base());
         assert_eq!(c.block, 0);
-        // The env override is exercised by the differential suites; in a
-        // clean environment auto means the tuned default.
-        if std::env::var("MEMLAT_BLOCK").is_err() {
-            assert_eq!(c.effective_block(), 1024);
-        }
+        assert_eq!(c.effective_block(), 1024);
         assert_eq!(c.block(1).effective_block(), 1);
     }
 

@@ -3,9 +3,10 @@
 //! The per-key hot path is fully streaming: batches are drawn lazily
 //! from the seed-derived RNG stream (no ahead-of-time trace
 //! materialization), each resolved key is handed to a caller-supplied
-//! sink ([`simulate_server_streaming`]), and the whole pipeline — gap
-//! law, batch size, service draw, miss decision — is monomorphized over
-//! the RNG type so nothing in the loop goes through a vtable.
+//! [`RecordSink`] ([`simulate_server_streaming_with`]), and the whole
+//! pipeline — gap law, batch size, service draw, miss decision — is
+//! monomorphized over the RNG type so nothing in the loop goes through a
+//! vtable.
 //!
 //! On eligible runs (no faults, no client timeout, fixed-ratio misses)
 //! the loop is additionally **block-batched**: keys are staged in
@@ -65,12 +66,10 @@ pub struct KeyRecord {
     pub degraded: bool,
 }
 
-/// Output of simulating one server for the run's duration.
-#[derive(Debug)]
-pub struct ServerRun {
-    /// Per-key records in resolution-processing order (post-warm-up
-    /// only; identical to arrival order on healthy runs).
-    pub records: Vec<KeyRecord>,
+/// The streaming aggregates of one server's run (the per-key records
+/// went to the sink).
+#[derive(Debug, Clone, Copy)]
+pub struct ServerRunStats {
     /// Observed utilization (busy time ÷ horizon, including warm-up).
     pub utilization: f64,
     /// Observed miss ratio over the recorded keys.
@@ -80,25 +79,6 @@ pub struct ServerRun {
     /// Activity counters: busy time and queue high-water mark over the
     /// full horizon (warm-up included), jobs/misses over the measured
     /// window.
-    pub counters: ServerCounters,
-    /// Fault and client-resilience counters (all zero on healthy runs).
-    pub resilience: ResilienceCounters,
-    /// Items resident in the backing store at the end of the run (0
-    /// under [`MissMode::FixedRatio`]).
-    pub cached_items: u64,
-}
-
-/// The streaming aggregates of one server's run — everything
-/// [`ServerRun`] carries except the record buffer itself.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerRunStats {
-    /// Observed utilization (busy time ÷ horizon, including warm-up).
-    pub utilization: f64,
-    /// Observed miss ratio over the recorded keys.
-    pub miss_ratio: f64,
-    /// Observed key arrival rate (recorded keys ÷ measured duration).
-    pub key_rate: f64,
-    /// Activity counters (see [`ServerRun::counters`]).
     pub counters: ServerCounters,
     /// Fault and client-resilience counters (all zero on healthy runs).
     pub resilience: ResilienceCounters,
@@ -214,16 +194,6 @@ impl<T: RecordSink + ?Sized> RecordSink for &mut T {
 
     fn record_block(&mut self, block: &KeyBlock<'_>) {
         (**self).record_block(block);
-    }
-}
-
-/// Adapts a per-record closure into a [`RecordSink`] (blocks replay
-/// through the closure via the default [`RecordSink::record_block`]).
-pub struct FnSink<F>(pub F);
-
-impl<F: FnMut(&KeyRecord)> RecordSink for FnSink<F> {
-    fn record(&mut self, rec: &KeyRecord) {
-        (self.0)(rec);
     }
 }
 
@@ -415,31 +385,11 @@ fn process_attempt<S: RecordSink, R: RngCore>(
 /// Simulates one memcached server, streaming each resolved key into
 /// `sink`: batch arrivals → FCFS exp(μ_S) service → miss decision per
 /// key, with scheduled faults and client retries merged into the
-/// arrival stream in global time order.
+/// arrival stream in global time order. Eligible runs stage blocks in
+/// the caller's reusable [`BlockScratch`].
 ///
-/// Records reach the sink in resolution-processing order — exactly the
-/// order [`simulate_server`] stores them — and the RNG draw sequence is
-/// identical, so the two entry points are bit-for-bit interchangeable.
-/// The sink variant allocates no per-key memory.
-///
-/// # Errors
-///
-/// Returns [`ParamError`] when the miss mode's parameters are invalid.
-pub fn simulate_server_streaming<S, R>(
-    p: ServerSimParams<'_>,
-    rng: &mut R,
-    sink: S,
-) -> Result<ServerRunStats, ParamError>
-where
-    S: FnMut(&KeyRecord),
-    R: RngCore + Clone,
-{
-    simulate_server_streaming_with(p, rng, &mut BlockScratch::new(), FnSink(sink))
-}
-
-/// [`simulate_server_streaming`] generalized over the sink and staging
-/// buffers: any [`RecordSink`] receives the resolved keys, and eligible
-/// runs stage blocks in the caller's reusable [`BlockScratch`].
+/// Records reach the sink in resolution-processing order (arrival
+/// order on healthy runs). The loop allocates no per-key memory.
 ///
 /// # Errors
 ///
@@ -695,29 +645,6 @@ where
     })
 }
 
-/// Simulates one memcached server and collects every per-key record —
-/// the buffering wrapper around [`simulate_server_streaming`].
-///
-/// # Errors
-///
-/// Returns [`ParamError`] when the miss mode's parameters are invalid.
-pub fn simulate_server<R: RngCore + Clone>(
-    p: ServerSimParams<'_>,
-    rng: &mut R,
-) -> Result<ServerRun, ParamError> {
-    let mut records = Vec::new();
-    let stats = simulate_server_streaming(p, rng, |r: &KeyRecord| records.push(*r))?;
-    Ok(ServerRun {
-        records,
-        utilization: stats.utilization,
-        miss_ratio: stats.miss_ratio,
-        key_rate: stats.key_rate,
-        counters: stats.counters,
-        resilience: stats.resilience,
-        cached_items: stats.cached_items,
-    })
-}
-
 /// Convenience: draw an exponential service sample (used by the database
 /// stage as well).
 pub fn exp_sample(rate: f64, rng: &mut impl Rng) -> f64 {
@@ -749,14 +676,35 @@ mod tests {
         }
     }
 
-    fn facebook_run(duration: f64, seed: u64) -> ServerRun {
+    /// Collects every resolved key into a `Vec`: the buffered view the
+    /// tests inspect record by record.
+    struct Collect(Vec<KeyRecord>);
+
+    impl RecordSink for Collect {
+        fn record(&mut self, rec: &KeyRecord) {
+            self.0.push(*rec);
+        }
+    }
+
+    /// Runs one server and returns its records beside its aggregates.
+    fn run_collect(
+        p: ServerSimParams<'_>,
+        rng: &mut rand::rngs::StdRng,
+    ) -> (Vec<KeyRecord>, ServerRunStats) {
+        let mut sink = Collect(Vec::new());
+        let stats =
+            simulate_server_streaming_with(p, rng, &mut BlockScratch::new(), &mut sink).unwrap();
+        (sink.0, stats)
+    }
+
+    fn facebook_run(duration: f64, seed: u64) -> (Vec<KeyRecord>, ServerRunStats) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        simulate_server(healthy_params(duration), &mut rng).unwrap()
+        run_collect(healthy_params(duration), &mut rng)
     }
 
     #[test]
     fn rates_and_utilization_match_configuration() {
-        let run = facebook_run(2.0, 1);
+        let (records, run) = facebook_run(2.0, 1);
         assert!(
             (run.key_rate / facebook::KEY_RATE - 1.0).abs() < 0.05,
             "{}",
@@ -765,47 +713,31 @@ mod tests {
         assert!((run.utilization - 0.78).abs() < 0.05, "{}", run.utilization);
         assert!((run.miss_ratio - 0.01).abs() < 0.005, "{}", run.miss_ratio);
         // Counters agree with the record-level view.
-        assert_eq!(run.counters.jobs, run.records.len() as u64);
+        assert_eq!(run.counters.jobs, records.len() as u64);
         assert_eq!(
             run.counters.misses,
-            run.records.iter().filter(|r| r.missed).count() as u64
+            records.iter().filter(|r| r.missed).count() as u64
         );
         assert!(run.counters.queue_max >= 1);
         assert!(run.counters.busy_time > 0.0);
         // A healthy run observes no resilience activity at all.
         assert!(!run.resilience.any());
-        assert!(run.records.iter().all(|r| r.attempts == 1 && !r.forced));
-    }
-
-    #[test]
-    fn streaming_sink_sees_exactly_the_collected_records() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let collected = facebook_run(0.5, 12);
-        let mut streamed: Vec<KeyRecord> = Vec::new();
-        let stats = simulate_server_streaming(healthy_params(0.5), &mut rng, |r: &KeyRecord| {
-            streamed.push(*r)
-        })
-        .unwrap();
-        assert_eq!(streamed, collected.records);
-        assert_eq!(stats.counters, collected.counters);
-        assert_eq!(stats.utilization.to_bits(), collected.utilization.to_bits());
-        assert_eq!(stats.miss_ratio.to_bits(), collected.miss_ratio.to_bits());
-        assert_eq!(stats.key_rate.to_bits(), collected.key_rate.to_bits());
+        assert!(records.iter().all(|r| r.attempts == 1 && !r.forced));
     }
 
     #[test]
     fn block_path_is_bit_identical_to_scalar() {
         use rand::RngCore;
         let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(77);
-        let scalar = simulate_server(healthy_params(0.5), &mut scalar_rng).unwrap();
+        let (scalar_records, scalar) = run_collect(healthy_params(0.5), &mut scalar_rng);
         let scalar_next = scalar_rng.next_u64();
         // Power-of-two, odd, and larger-than-run block sizes all agree.
         for block in [2usize, 37, 1024, 1 << 22] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(77);
             let mut p = healthy_params(0.5);
             p.block = block;
-            let blocked = simulate_server(p, &mut rng).unwrap();
-            assert_eq!(scalar.records, blocked.records, "block={block}");
+            let (blocked_records, blocked) = run_collect(p, &mut rng);
+            assert_eq!(scalar_records, blocked_records, "block={block}");
             assert_eq!(scalar.counters, blocked.counters, "block={block}");
             assert_eq!(scalar.utilization.to_bits(), blocked.utilization.to_bits());
             assert_eq!(scalar.miss_ratio.to_bits(), blocked.miss_ratio.to_bits());
@@ -834,11 +766,11 @@ mod tests {
             block,
         };
         let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(78);
-        let scalar = simulate_server(params(1), &mut scalar_rng).unwrap();
+        let (scalar, _) = run_collect(params(1), &mut scalar_rng);
         let mut rng = rand::rngs::StdRng::seed_from_u64(78);
-        let blocked = simulate_server(params(512), &mut rng).unwrap();
-        assert_eq!(scalar.records, blocked.records);
-        assert!(blocked.records.iter().all(|r| !r.missed));
+        let (blocked, _) = run_collect(params(512), &mut rng);
+        assert_eq!(scalar, blocked);
+        assert!(blocked.iter().all(|r| !r.missed));
         assert_eq!(scalar_rng.next_u64(), rng.next_u64());
     }
 
@@ -887,18 +819,18 @@ mod tests {
                 .unwrap();
         assert!(sink.blocks > 10, "{} blocks", sink.blocks);
         assert_eq!(sink.records.len() as u64, stats.counters.jobs);
-        let baseline = facebook_run(0.5, 79);
-        assert_eq!(sink.records, baseline.records);
+        let (baseline, _) = facebook_run(0.5, 79);
+        assert_eq!(sink.records, baseline);
     }
 
     #[test]
     fn latency_quantiles_inside_eq9_band() {
         // The per-key latency quantiles must fall between the model's
         // T_Q and T_C bounds (paper eq. 9 / Fig. 4).
-        let run = facebook_run(4.0, 2);
+        let (records, _) = facebook_run(4.0, 2);
         let gaps = GeneralizedPareto::facebook(0.15, 56_250.0).unwrap();
         let queue = memlat_queue::GixM1::new(&gaps, 0.1, 80_000.0).unwrap();
-        let mut lats: Vec<f64> = run.records.iter().map(|r| r.server_latency).collect();
+        let mut lats: Vec<f64> = records.iter().map(|r| r.server_latency).collect();
         lats.sort_by(f64::total_cmp);
         let ecdf = memlat_stats::Ecdf::from_sorted(lats);
         for k in [0.3, 0.6, 0.9] {
@@ -914,14 +846,13 @@ mod tests {
 
     #[test]
     fn records_are_causally_consistent() {
-        let run = facebook_run(0.5, 3);
-        for r in &run.records {
+        let (records, _) = facebook_run(0.5, 3);
+        for r in &records {
             assert!(r.completion >= r.arrival);
             assert!((r.server_latency - (r.completion - r.arrival)).abs() < 1e-12);
         }
         // Completions at one FCFS server are non-decreasing.
-        assert!(run
-            .records
+        assert!(records
             .windows(2)
             .all(|w| w[1].completion >= w[0].completion));
     }
@@ -929,7 +860,7 @@ mod tests {
     #[test]
     fn zero_miss_ratio_yields_no_misses() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let run = simulate_server(
+        let (records, run) = run_collect(
             ServerSimParams {
                 interarrival: GapLaw::from(facebook::interarrival().unwrap()),
                 concurrency: 0.1,
@@ -945,9 +876,8 @@ mod tests {
                 block: 1,
             },
             &mut rng,
-        )
-        .unwrap();
-        assert!(run.records.iter().all(|r| !r.missed));
+        );
+        assert!(records.iter().all(|r| !r.missed));
         assert_eq!(run.miss_ratio, 0.0);
     }
 
@@ -961,7 +891,7 @@ mod tests {
             mean_value_bytes: 300.0,
             routing: crate::config::CacheRouting::Independent,
         });
-        let run = simulate_server(
+        let (records, run) = run_collect(
             ServerSimParams {
                 interarrival: GapLaw::from(facebook::interarrival().unwrap()),
                 concurrency: 0.1,
@@ -977,16 +907,15 @@ mod tests {
                 block: 1,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         // Some misses, but far fewer than hits: a working cache.
         assert!(
             run.miss_ratio > 0.0 && run.miss_ratio < 0.5,
             "{}",
             run.miss_ratio
         );
-        assert!(run.records.iter().any(|r| r.missed));
-        assert!(run.records.iter().any(|r| !r.missed));
+        assert!(records.iter().any(|r| r.missed));
+        assert!(records.iter().any(|r| !r.missed));
     }
 
     #[test]
@@ -994,14 +923,14 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let mut p = healthy_params(0.5);
         p.faults = FaultPlan::none().crash(0, 0.3, 0.5).for_server(0);
-        let run = simulate_server(p, &mut rng).unwrap();
+        let (records, run) = run_collect(p, &mut rng);
         assert!(run.resilience.refused > 0);
         assert_eq!(run.resilience.refused, run.resilience.forced_misses);
         assert_eq!(run.resilience.retries, 0);
         assert!((run.resilience.downtime - 0.2).abs() < 1e-12);
         // Refused keys resolve instantly at zero latency, served keys
         // keep positive latency.
-        for r in &run.records {
+        for r in &records {
             if r.forced {
                 assert_eq!(r.server_latency, 0.0);
                 assert!(!r.missed);
@@ -1024,13 +953,13 @@ mod tests {
             multiplier: 2.0,
             jitter: 0.1,
         });
-        let run = simulate_server(p, &mut rng).unwrap();
+        let (records, run) = run_collect(p, &mut rng);
         assert!(run.resilience.refused > 0);
         assert!(run.resilience.retries > 0);
         // The retry budget (5 × backoff ≥ 10 ms vs a 20 ms outage)
         // recovers every refused key.
         assert_eq!(run.resilience.forced_misses, 0);
-        let recovered: Vec<_> = run.records.iter().filter(|r| r.attempts > 1).collect();
+        let recovered: Vec<_> = records.iter().filter(|r| r.attempts > 1).collect();
         assert!(!recovered.is_empty());
         for r in &recovered {
             assert!(r.attempts <= 6);
@@ -1041,23 +970,21 @@ mod tests {
 
     #[test]
     fn slowdown_scales_latency_and_tags_degraded() {
-        let base = facebook_run(0.5, 8);
+        let (base, _) = facebook_run(0.5, 8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let mut p = healthy_params(0.5);
         p.faults = FaultPlan::none().slowdown(0, 0.3, 0.5, 4.0).for_server(0);
-        let slow = simulate_server(p, &mut rng).unwrap();
+        let (slow_records, slow) = run_collect(p, &mut rng);
         // Same seed, same draws: every key resolves, latency can only
         // grow, and keys inside the window are tagged.
-        assert_eq!(slow.records.len(), base.records.len());
-        assert!(slow.records.iter().any(|r| r.degraded));
-        assert!(slow
-            .records
+        assert_eq!(slow_records.len(), base.len());
+        assert!(slow_records.iter().any(|r| r.degraded));
+        assert!(slow_records
             .iter()
-            .zip(&base.records)
+            .zip(&base)
             .all(|(s, b)| s.server_latency >= b.server_latency));
         let mean_of = |pred: &dyn Fn(&KeyRecord) -> bool| {
-            let lats: Vec<f64> = slow
-                .records
+            let lats: Vec<f64> = slow_records
                 .iter()
                 .filter(|r| pred(r))
                 .map(|r| r.server_latency)
@@ -1083,15 +1010,15 @@ mod tests {
         // A heavy slowdown plus a tight timeout: long sojourns abandon.
         p.faults = FaultPlan::none().slowdown(0, 0.2, 0.7, 10.0).for_server(0);
         p.client = ClientPolicy::none().timeout(2e-3);
-        let run = simulate_server(p, &mut rng).unwrap();
+        let (records, run) = run_collect(p, &mut rng);
         assert!(run.resilience.timeouts > 0);
         assert_eq!(run.resilience.timeouts, run.resilience.forced_misses);
         // Served keys all resolved within the timeout.
-        for r in run.records.iter().filter(|r| !r.forced) {
+        for r in records.iter().filter(|r| !r.forced) {
             assert!(r.server_latency <= 2e-3 + 1e-12);
         }
         // Forced keys gave up exactly at the timeout.
-        for r in run.records.iter().filter(|r| r.forced) {
+        for r in records.iter().filter(|r| r.forced) {
             assert!((r.server_latency - 2e-3).abs() < 1e-12);
         }
     }
@@ -1108,21 +1035,14 @@ mod tests {
             .timeout(1e-3)
             .retry(RetryPolicy::default());
         let max = p.client.max_attempts();
-        let run = simulate_server(p, &mut rng).unwrap();
-        let forced = run.records.iter().filter(|r| r.forced).count() as u64;
-        let missed = run.records.iter().filter(|r| r.missed).count() as u64;
-        let hits = run
-            .records
-            .iter()
-            .filter(|r| !r.missed && !r.forced)
-            .count() as u64;
+        let (records, run) = run_collect(p, &mut rng);
+        let forced = records.iter().filter(|r| r.forced).count() as u64;
+        let missed = records.iter().filter(|r| r.missed).count() as u64;
+        let hits = records.iter().filter(|r| !r.missed && !r.forced).count() as u64;
         assert_eq!(forced, run.resilience.forced_misses);
         assert_eq!(hits + missed + forced, run.counters.jobs);
         assert!(run.resilience.timeouts + run.resilience.refused > 0);
         // Attempts never exceed the policy bound.
-        assert!(run
-            .records
-            .iter()
-            .all(|r| r.attempts >= 1 && r.attempts <= max));
+        assert!(records.iter().all(|r| r.attempts >= 1 && r.attempts <= max));
     }
 }

@@ -1130,6 +1130,26 @@ mod tests {
         // And an oversubscribed thread count changes nothing either.
         let over = ClusterSim::run(&base.threads(64)).unwrap();
         assert_eq!(seq.summaries(), over.summaries());
+
+        // M = 100 under summary retention: the k-way miss merge runs
+        // over more server shards than worker lanes.
+        let params = ModelParams::builder()
+            .servers(100)
+            .key_rate_per_server(0.70 * 80_000.0)
+            .build()
+            .unwrap();
+        let scaled = SimConfig::new(params)
+            .duration(0.05)
+            .warmup(0.005)
+            .retention(Retention::Summary)
+            .seed(0xbe9c);
+        let seq = ClusterSim::run(&scaled.clone().threads(1)).unwrap();
+        let par = ClusterSim::run(&scaled.threads(4)).unwrap();
+        assert_eq!(seq.total_keys(), par.total_keys());
+        assert_eq!(seq.summaries(), par.summaries());
+        let bits = |u: &[f64]| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(seq.utilization()), bits(par.utilization()));
+        assert_eq!(seq.miss_ratio().to_bits(), par.miss_ratio().to_bits());
     }
 
     #[test]

@@ -160,6 +160,28 @@ fn forced_scalar_dispatch_is_bit_identical() {
     assert_eq!(auto.db_latency_stats(), scalar.db_latency_stats());
     assert_eq!(fnv1a_records(&auto), fnv1a_records(&scalar_unblocked));
     assert_eq!(auto.summaries(), scalar_unblocked.summaries());
+
+    // M = 100 under summary retention: auto dispatch on four threads
+    // against forced-scalar kernels on one.
+    let params = ModelParams::builder()
+        .servers(100)
+        .key_rate_per_server(0.70 * 80_000.0)
+        .build()
+        .unwrap();
+    let scaled = SimConfig::new(params)
+        .duration(0.05)
+        .warmup(0.005)
+        .retention(Retention::Summary)
+        .seed(0xbe9c);
+    let auto = ClusterSim::run(&scaled.clone().threads(4)).unwrap();
+    memlat_dist::simd::set_forced_scalar(true);
+    let scalar = ClusterSim::run(&scaled.threads(1)).unwrap();
+    memlat_dist::simd::set_forced_scalar(false);
+    assert_eq!(auto.total_keys(), scalar.total_keys());
+    assert_eq!(auto.summaries(), scalar.summaries());
+    let bits = |u: &[f64]| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(auto.utilization()), bits(scalar.utilization()));
+    assert_eq!(auto.miss_ratio().to_bits(), scalar.miss_ratio().to_bits());
 }
 
 /// A timeout that can never fire still forces the scalar path (the

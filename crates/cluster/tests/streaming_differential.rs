@@ -3,10 +3,11 @@
 //! pipeline built from the same public primitives.
 //!
 //! The reference reconstructs the pre-streaming architecture: collect
-//! every per-key record into a `Vec` first (via [`simulate_server`],
-//! the buffering wrapper), then fold the buffers into records + miss
-//! stream + database stage in a second pass — exactly the shape the
-//! simulator had before the per-key loop was converted to a sink.
+//! every per-key record into a `Vec` first (a collecting [`RecordSink`]
+//! fed by [`simulate_server_streaming_with`]), then fold the buffers
+//! into records + miss stream + database stage in a second pass —
+//! exactly the shape the simulator had before the per-key loop was
+//! converted to a sink.
 //! Fingerprints are FNV-1a over the raw f32 bit patterns, so any
 //! reordering, rounding, or RNG drift fails the test.
 
@@ -14,7 +15,9 @@ use memlat_cluster::{
     config::MissMode,
     database::{run_db_stage_with, MissArrival},
     fault::{ClientPolicy, ServerFaults},
-    server::{simulate_server, ServerSimParams},
+    server::{
+        simulate_server_streaming_with, BlockScratch, KeyRecord, RecordSink, ServerSimParams,
+    },
     ClusterSim, SimConfig,
 };
 use memlat_des::stream_rng;
@@ -40,6 +43,15 @@ fn fnv1a_records(records: &[Vec<(f32, f32)>]) -> u64 {
     h
 }
 
+/// Collects every resolved key into a `Vec`.
+struct Collect(Vec<KeyRecord>);
+
+impl RecordSink for Collect {
+    fn record(&mut self, rec: &KeyRecord) {
+        self.0.push(*rec);
+    }
+}
+
 /// The pre-streaming reference: materialize every server's records,
 /// then fold misses and the database stage over the buffers.
 fn materialized_reference(params: &ModelParams, cfg: &SimConfig) -> Vec<Vec<(f32, f32)>> {
@@ -53,7 +65,8 @@ fn materialized_reference(params: &ModelParams, cfg: &SimConfig) -> Vec<Vec<(f32
             let lam_j = p * params.total_key_rate();
             let gaps: GapLaw = params.arrival().gap_law((1.0 - q) * lam_j).unwrap();
             let mut rng = stream_rng(cfg.seed, 1000 + j as u64);
-            let run = simulate_server(
+            let mut collected = Collect(Vec::new());
+            simulate_server_streaming_with(
                 ServerSimParams {
                     interarrival: gaps,
                     concurrency: q,
@@ -71,10 +84,12 @@ fn materialized_reference(params: &ModelParams, cfg: &SimConfig) -> Vec<Vec<(f32
                     block: 1,
                 },
                 &mut rng,
+                &mut BlockScratch::new(),
+                &mut collected,
             )
             .unwrap();
             // Second pass over the materialized buffer: records + misses.
-            for (idx, r) in run.records.iter().enumerate() {
+            for (idx, r) in collected.0.iter().enumerate() {
                 if r.missed || r.forced {
                     all_misses.push(MissArrival {
                         time: r.completion,

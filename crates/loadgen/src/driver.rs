@@ -1,22 +1,19 @@
 //! Traffic drivers.
 //!
-//! Two shapes of load:
+//! **Open-loop streams** ([`run_streams`]) are the measurement workload.
+//! One stream per server shard reproduces the paper's GI^X/M/1 input
+//! process over a real socket: inter-batch gaps drawn from the
+//! Generalized-Pareto law at rate `(1 − q)·λ_keys`, geometric batch
+//! sizes with parameter `q`, keys drawn from the global Zipf popularity
+//! conditioned on the target shard. Every batch is one multiget and
+//! therefore exactly one job in the shard queue, so the client-side
+//! round-trip time of a batch is the shard *batch sojourn* plus the
+//! loopback floor. Pacing is open-loop: send times never wait for
+//! responses, so queueing builds in the server, not the client.
 //!
-//! * **Open-loop streams** ([`run_streams`]) — the measurement workload.
-//!   One stream per server shard reproduces the paper's GI^X/M/1 input
-//!   process over a real socket: inter-batch gaps drawn from the
-//!   Generalized-Pareto law at rate `(1 − q)·λ_keys`, geometric batch
-//!   sizes with parameter `q`, keys drawn from the global Zipf popularity
-//!   conditioned on the target shard. Every batch is one multiget and
-//!   therefore exactly one job in the shard queue, so the client-side
-//!   round-trip time of a batch is the shard *batch sojourn* plus the
-//!   loopback floor. Pacing is open-loop: send times never wait for
-//!   responses, so queueing builds in the server, not the client.
-//! * **Closed-loop pipelined gets** ([`run_closed_loop`]) — the
-//!   throughput workload for the `server_loopback` bench scenario.
-//!
-//! Both share a precomputed [`KeyTable`] mapping Zipf ranks to key bytes
-//! and shard homes, so the hot loops never format strings.
+//! A precomputed [`KeyTable`] maps Zipf ranks to key bytes and shard
+//! homes, so the hot loop never formats strings. [`preload`] fills the
+//! keyspace before a run.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -392,112 +389,6 @@ pub fn measure_network_floor(addr: SocketAddr, probes: usize) -> io::Result<f64>
     }
     rtts.sort_by(f64::total_cmp);
     Ok(rtts[rtts.len() / 2])
-}
-
-/// Closed-loop bench configuration.
-#[derive(Debug, Clone)]
-pub struct ClosedLoopConfig {
-    /// Concurrent connections.
-    pub connections: usize,
-    /// Pipelined requests outstanding per connection.
-    pub depth: usize,
-    /// Wall-clock measurement window (seconds).
-    pub duration: f64,
-    /// Zipf keyspace size (must be preloaded).
-    pub keyspace: u64,
-    /// Zipf skew.
-    pub skew: f64,
-    /// Base RNG seed (per-connection streams derive from it).
-    pub seed: u64,
-}
-
-/// Closed-loop bench outcome.
-#[derive(Debug, Clone)]
-pub struct ClosedLoopResult {
-    /// Single-key get requests completed inside the window.
-    pub requests: u64,
-    /// Hits among them.
-    pub hits: u64,
-    /// Wall-clock seconds actually spent (longest connection).
-    pub elapsed: f64,
-}
-
-/// Drives `connections` pipelined closed loops of single-key gets for
-/// `duration` seconds and reports aggregate throughput inputs.
-///
-/// # Errors
-///
-/// Returns the first connection error encountered.
-///
-/// # Panics
-///
-/// Panics on invalid Zipf parameters.
-pub fn run_closed_loop(addr: SocketAddr, cfg: &ClosedLoopConfig) -> io::Result<ClosedLoopResult> {
-    let zipf = ZipfPopularity::new(cfg.keyspace, cfg.skew).expect("valid popularity");
-    let zipf = Arc::new(zipf);
-    let handles: Vec<_> = (0..cfg.connections)
-        .map(|c| {
-            let zipf = Arc::clone(&zipf);
-            let cfg = cfg.clone();
-            thread::Builder::new()
-                .name(format!("loadgen-loop-{c}"))
-                .spawn(move || -> io::Result<(u64, u64, f64)> {
-                    let mut conn = Connection::connect(addr)?;
-                    let mut rng =
-                        StdRng::seed_from_u64(cfg.seed ^ (c as u64).wrapping_mul(0x9E37_79B9));
-                    let mut frame = Vec::with_capacity(64);
-                    let mut send_get = |conn: &mut Connection, rng: &mut StdRng| {
-                        frame.clear();
-                        frame.extend_from_slice(b"get k");
-                        frame.extend_from_slice(zipf.sample_key(rng).to_string().as_bytes());
-                        frame.extend_from_slice(b"\r\n");
-                        conn.send(&frame)
-                    };
-                    for _ in 0..cfg.depth {
-                        send_get(&mut conn, &mut rng)?;
-                    }
-                    let start = Instant::now();
-                    let deadline = start + Duration::from_secs_f64(cfg.duration);
-                    let mut requests = 0u64;
-                    let mut hits = 0u64;
-                    while Instant::now() < deadline {
-                        match conn.read_response()? {
-                            Response::Values(v) => {
-                                requests += 1;
-                                hits += u64::from(!v.is_empty());
-                            }
-                            other => {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("unexpected bench response: {other:?}"),
-                                ))
-                            }
-                        }
-                        send_get(&mut conn, &mut rng)?;
-                    }
-                    // Drain the pipeline so the server sees a clean close.
-                    for _ in 0..cfg.depth {
-                        let _ = conn.read_response()?;
-                    }
-                    Ok((requests, hits, start.elapsed().as_secs_f64()))
-                })
-                .expect("spawn closed loop")
-        })
-        .collect();
-    let mut requests = 0;
-    let mut hits = 0;
-    let mut elapsed = 0f64;
-    for h in handles {
-        let (r, hh, e) = h.join().map_err(|_| io::Error::other("loop panicked"))??;
-        requests += r;
-        hits += hh;
-        elapsed = elapsed.max(e);
-    }
-    Ok(ClosedLoopResult {
-        requests,
-        hits,
-        elapsed,
-    })
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //!
 //! * [`client`] — a minimal binary-safe memcached text-protocol client.
 //! * [`driver`] — open-loop per-shard measurement streams and the
-//!   closed-loop pipelined bench driver.
+//!   keyspace preload.
 //! * [`spawn`] — server lifecycle (in-process, child binary, external).
 //! * [`conformance`] — the live harness and its deterministic-schema
 //!   JSON report (`results/server_conformance.json`).

@@ -119,3 +119,16 @@ pub fn render_stats(shared: &ServerShared) -> Vec<u8> {
     let _ = write!(s, "END\r\n");
     s.into_bytes()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rss_probe_reports_something_on_linux() {
+        let rss = peak_rss_bytes();
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(rss > 0);
+        }
+    }
+}
