@@ -21,8 +21,9 @@
 //! mixing it with slab pages would obscure the policy comparison.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
+use crate::hash::IntMap;
 use crate::KeyId;
 
 /// Priority-ordered heap entry (lazily invalidated).
@@ -114,7 +115,7 @@ pub struct CostAwareCache {
     used: usize,
     clock: f64,
     next_stamp: u64,
-    index: HashMap<KeyId, Resident>,
+    index: IntMap<KeyId, Resident>,
     heap: BinaryHeap<Reverse<HeapEntry>>,
     stats: GdwStats,
 }
@@ -134,7 +135,7 @@ impl CostAwareCache {
             used: 0,
             clock: 0.0,
             next_stamp: 0,
-            index: HashMap::new(),
+            index: IntMap::default(),
             heap: BinaryHeap::new(),
             stats: GdwStats::default(),
         })

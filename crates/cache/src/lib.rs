@@ -14,6 +14,8 @@
 //! * [`lru`] — an arena-based intrusive doubly-linked LRU list.
 //! * [`store`] — the [`Store`]: get/set/delete with TTLs, per-class LRU
 //!   eviction and hit/miss statistics.
+//! * [`hash`] — [`IntMap`], a fixed multiplicative hasher for the
+//!   integer-keyed indexes.
 //! * [`gdw`] — a Greedy-Dual **cost-aware** cache (GD-Wheel-lite, the
 //!   paper's related work \[19\]) for eviction-policy ablations.
 //!
@@ -35,12 +37,14 @@
 
 pub mod bytes;
 pub mod gdw;
+pub mod hash;
 pub mod lru;
 pub mod slab;
 pub mod store;
 
 pub use bytes::Bytes;
 pub use gdw::{CostAwareCache, GdwStats};
+pub use hash::{IntHasher, IntMap};
 pub use slab::{SlabAllocator, SlabConfig};
 pub use store::{Lookup, Store, StoreConfig, StoreError, StoreStats};
 

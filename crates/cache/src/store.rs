@@ -1,9 +1,9 @@
 //! The keyed store: memcached's get/set/delete over slab + LRU.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::bytes::Bytes;
+use crate::hash::IntMap;
 
 use crate::lru::{Links, LruList, SlotId};
 use crate::slab::{Allocation, SlabAllocator, SlabConfig};
@@ -160,7 +160,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Store {
     slabs: SlabAllocator,
-    index: HashMap<KeyId, SlotId>,
+    index: IntMap<KeyId, SlotId>,
     arena: Vec<Entry>,
     /// LRU link fields, parallel to `arena` (kept separate so list
     /// operations never touch — or copy — the entries themselves).
@@ -183,7 +183,7 @@ impl Store {
         let lrus = vec![LruList::new(); slabs.class_count()];
         Ok(Self {
             slabs,
-            index: HashMap::new(),
+            index: IntMap::default(),
             arena: Vec::new(),
             links: Vec::new(),
             free_slots: Vec::new(),

@@ -1,7 +1,6 @@
 //! The database stage: sharded M/M/1 queues fed by cache misses.
 
-use std::collections::HashMap;
-
+use memlat_cache::IntMap;
 use memlat_des::fcfs::FcfsStation;
 use memlat_dist::{Binomial, Discrete};
 use rand::RngCore;
@@ -112,7 +111,7 @@ pub fn run_db_stage_coalesced_with(
     // Completion time of the outstanding fetch per key. Entries whose
     // departure is in the past are stale (the fetch already landed) and
     // are overwritten on the next dispatch for that key.
-    let mut outstanding: HashMap<u64, f64> = HashMap::new();
+    let mut outstanding: IntMap<u64, f64> = IntMap::default();
     let mut next = 0usize;
     let mut prev_t = f64::NEG_INFINITY;
     for m in misses {

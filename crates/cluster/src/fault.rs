@@ -236,6 +236,69 @@ impl ServerFaults {
     pub fn degraded_time(&self, horizon: f64) -> f64 {
         self.slow.iter().map(|(w, _)| w.clamped_len(horizon)).sum()
     }
+
+    /// A forward-only reader of this timeline for non-decreasing query
+    /// times: every window edge cuts the time axis into segments on which
+    /// the fault state is constant, so a query only steps a cursor.
+    pub(crate) fn cursor(&self) -> FaultCursor {
+        let mut edges: Vec<f64> = self
+            .crash
+            .windows()
+            .iter()
+            .chain(self.slow.iter().map(|(w, _)| w))
+            .flat_map(|w| [w.start, w.end])
+            .collect();
+        edges.sort_by(f64::total_cmp);
+        edges.dedup();
+        let states = edges
+            .iter()
+            .map(|&t| FaultState {
+                crashed: self.crashed_at(t),
+                slow: self.degraded_at(t).then(|| self.slow_factor_at(t)),
+            })
+            .collect();
+        FaultCursor {
+            edges,
+            states,
+            pos: 0,
+        }
+    }
+}
+
+/// The fault state in force at one instant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FaultState {
+    /// The server refuses arrivals.
+    pub crashed: bool,
+    /// The service-time factor of the slowdown window covering the
+    /// instant, if any.
+    pub slow: Option<f64>,
+}
+
+/// See [`ServerFaults::cursor`]: segment `i` is `[edges[i], edges[i+1])`
+/// with state `states[i]`; before the first edge the server is healthy.
+#[derive(Debug)]
+pub(crate) struct FaultCursor {
+    edges: Vec<f64>,
+    states: Vec<FaultState>,
+    pos: usize,
+}
+
+impl FaultCursor {
+    /// The state at `t`; `t` must not precede the previous query.
+    #[inline]
+    pub(crate) fn at(&mut self, t: f64) -> FaultState {
+        while self.pos < self.edges.len() && t >= self.edges[self.pos] {
+            self.pos += 1;
+        }
+        match self.pos {
+            0 => FaultState {
+                crashed: false,
+                slow: None,
+            },
+            p => self.states[p - 1],
+        }
+    }
 }
 
 /// Bounded retry with exponential backoff and jitter.
@@ -406,6 +469,34 @@ mod tests {
 
         assert!(FaultPlan::none().is_empty());
         assert!(ServerFaults::none().is_empty());
+    }
+
+    #[test]
+    fn cursor_agrees_with_the_point_queries() {
+        let s = FaultPlan::none()
+            .crash(0, 0.2, 0.4)
+            .slowdown(0, 0.3, 0.6, 2.5)
+            .slowdown(0, 0.6, 0.7, 1.0)
+            .crash(0, 0.9, 1.0)
+            .for_server(0);
+        let mut cursor = s.cursor();
+        for i in 0..=1200 {
+            // Includes every window edge exactly.
+            let t = f64::from(i) / 1000.0;
+            let want = FaultState {
+                crashed: s.crashed_at(t),
+                slow: s.degraded_at(t).then(|| s.slow_factor_at(t)),
+            };
+            assert_eq!(cursor.at(t), want, "t={t}");
+        }
+        let mut healthy = ServerFaults::none().cursor();
+        assert_eq!(
+            healthy.at(5.0),
+            FaultState {
+                crashed: false,
+                slow: None
+            }
+        );
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //!
 //! The trait boundary is what keeps the analytic mode fast and frozen:
 //! [`MissState::fixed_ratio`] tells the server loop whether misses are
-//! an i.i.d. coin flip — exactly the contract the block-batched hot path
-//! needs — so [`FixedRatioMiss`] keeps its bit-exact RNG draw sequence
-//! (goldens and FNV fingerprints must not move) while [`LruBackedMiss`]
-//! is free to consult a store, sample value sizes, and (under
-//! consistent-hash routing) draw from its server's conditional key
-//! population.
+//! an i.i.d. coin flip — exactly the contract the speculative block hot
+//! path needs — so [`FixedRatioMiss`] keeps its bit-exact RNG draw
+//! sequence (goldens and FNV fingerprints must not move) while
+//! [`LruBackedMiss`] is free to consult a store, sample value sizes, and
+//! (under consistent-hash routing) draw from its server's conditional
+//! key population. The server's lane pipeline drives the LRU-backed
+//! state directly — a bulk key lane, then one store get/fill per served
+//! key — while [`MissState::decide`] remains the one-call form of the
+//! same steps.
 
 use std::sync::Arc;
 
@@ -30,9 +33,9 @@ use crate::database::NO_KEY;
 /// preserves 1-vs-N-thread bit-identity.
 pub trait MissState {
     /// `Some(r)` when misses are an i.i.d. coin flip with ratio `r` —
-    /// the block-batched hot path is only sound under that contract (it
+    /// the speculative block path is only sound under that contract (it
     /// pre-banks one miss uniform per key). `None` for stateful
-    /// deciders, which force the scalar path.
+    /// deciders, which run on the server's lane pipeline.
     fn fixed_ratio(&self) -> Option<f64>;
 
     /// Whether the key served at simulated time `now` misses, plus the
@@ -112,27 +115,64 @@ pub struct LruBackedMiss {
     value_sizes: GeneralizedPareto,
 }
 
+impl LruBackedMiss {
+    /// Whether [`Self::keys_from_bits`] can draw this population's keys
+    /// (one raw `next_u64` per key): routed populations always can, the
+    /// full key space only on its alias-table path.
+    pub(crate) fn bulk_keys(&self) -> bool {
+        match &self.population {
+            Population::Full(pop) => pop.uses_alias_table(),
+            Population::Routed { .. } => true,
+        }
+    }
+
+    /// Appends one key per raw draw in `bits` onto `out`, bit-identical to
+    /// [`Self::sample_key`] at each draw site. Gate on
+    /// [`Self::bulk_keys`].
+    pub(crate) fn keys_from_bits(&self, bits: &[u64], out: &mut Vec<u64>) {
+        match &self.population {
+            Population::Full(pop) => pop.sample_keys_from_bits(bits, out),
+            Population::Routed { keyspace, server } => {
+                keyspace.sample_keys_from_bits(*server, bits, out);
+            }
+        }
+    }
+
+    /// Draws one key from the population.
+    pub(crate) fn sample_key(&self, rng: &mut dyn RngCore) -> u64 {
+        match &self.population {
+            Population::Full(pop) => pop.sample_key(rng),
+            Population::Routed { keyspace, server } => keyspace.sample_key(*server, rng),
+        }
+    }
+
+    /// Looks `key` up at simulated time `now`; on a miss, demand-fills it
+    /// with a value size drawn from `rng` (items larger than the biggest
+    /// chunk are simply not cached, like memcached). Returns whether the
+    /// key missed.
+    pub(crate) fn lookup_fill<R: RngCore + ?Sized>(
+        &mut self,
+        key: u64,
+        now: f64,
+        rng: &mut R,
+    ) -> bool {
+        if self.store.get(key, now).is_hit() {
+            return false;
+        }
+        let size = self.value_sizes.sample_with(rng).max(1.0) as usize;
+        let _ = self.store.set(key, size, None, now);
+        true
+    }
+}
+
 impl MissState for LruBackedMiss {
     fn fixed_ratio(&self) -> Option<f64> {
         None
     }
 
     fn decide(&mut self, now: f64, rng: &mut dyn RngCore) -> (bool, u64) {
-        let mut r = &mut *rng;
-        let key = match &self.population {
-            Population::Full(pop) => pop.sample_key(&mut r),
-            Population::Routed { keyspace, server } => keyspace.sample_key(*server, &mut r),
-        };
-        if self.store.get(key, now).is_hit() {
-            (false, key)
-        } else {
-            // Demand fill: the value fetched from the database is cached
-            // (items larger than the biggest chunk are simply not
-            // cached, like memcached).
-            let size = self.value_sizes.sample_with(rng).max(1.0) as usize;
-            let _ = self.store.set(key, size, None, now);
-            (true, key)
-        }
+        let key = self.sample_key(rng);
+        (self.lookup_fill(key, now, rng), key)
     }
 
     fn observed_miss_ratio(&self) -> Option<f64> {
@@ -176,8 +216,42 @@ pub fn build_miss_state(
     popularity: Option<&Arc<ZipfPopularity>>,
     routed: Option<&RoutedHandle>,
 ) -> Result<Box<dyn MissState>, ParamError> {
+    Ok(
+        match build_server_miss(mode, miss_ratio, popularity, routed)? {
+            ServerMiss::Fixed(f) => Box::new(f),
+            ServerMiss::Lru(l) => Box::new(l),
+        },
+    )
+}
+
+/// The concrete miss state one server runs with; [`build_miss_state`]
+/// hands the same value out as a trait object.
+pub(crate) enum ServerMiss {
+    /// The paper's i.i.d. coin flip.
+    Fixed(FixedRatioMiss),
+    /// A real store behind the decision.
+    Lru(LruBackedMiss),
+}
+
+impl ServerMiss {
+    /// The trait view, for the aggregate queries.
+    pub(crate) fn state(&self) -> &dyn MissState {
+        match self {
+            ServerMiss::Fixed(f) => f,
+            ServerMiss::Lru(l) => l,
+        }
+    }
+}
+
+/// [`build_miss_state`] without the box; same validation and errors.
+pub(crate) fn build_server_miss(
+    mode: &MissMode,
+    miss_ratio: f64,
+    popularity: Option<&Arc<ZipfPopularity>>,
+    routed: Option<&RoutedHandle>,
+) -> Result<ServerMiss, ParamError> {
     match mode {
-        MissMode::FixedRatio => Ok(Box::new(FixedRatioMiss::new(miss_ratio))),
+        MissMode::FixedRatio => Ok(ServerMiss::Fixed(FixedRatioMiss::new(miss_ratio))),
         MissMode::CacheBacked(cfg) => {
             let population = match cfg.routing {
                 CacheRouting::Independent => {
@@ -236,7 +310,7 @@ pub fn build_miss_state(
                     }
                 }
             };
-            Ok(Box::new(LruBackedMiss {
+            Ok(ServerMiss::Lru(LruBackedMiss {
                 store: Box::new(
                     Store::new(StoreConfig::with_memory(cfg.memory_bytes))
                         .map_err(|e| ParamError::new(e.to_string()))?,

@@ -19,6 +19,9 @@
 //! [`ClusterSim::run_with`] to reuse every per-server buffer across
 //! runs.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use memlat_des::metrics::{CoalesceCounters, ResilienceCounters, ServerCounters};
 use memlat_des::rng::stream_rng;
 use memlat_stats::{Ecdf, QuantileSketch, StreamingStats};
@@ -224,14 +227,13 @@ impl RecordSink for WorkerSink<'_> {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Per-server cells, stored lane-major for the thread dispatch (see
-    /// [`lane_pos`]).
+    /// Per-server cells, in server order.
     cells: Vec<ServerCell>,
-    /// Staging lanes for the block-batched server hot path: one per
-    /// worker lane, not per server. A lane simulates its servers one at
-    /// a time, so sharing keeps the block scratch footprint
-    /// `O(threads × block)` instead of `O(servers × block)` — at
-    /// M = 10 000 servers the per-server layout dominated peak memory.
+    /// Staging lanes for the server pipelines: one per worker thread,
+    /// not per server. A thread simulates its servers one at a time, so
+    /// sharing keeps the block scratch footprint `O(threads × block)`
+    /// instead of `O(servers × block)` — at M = 10 000 servers the
+    /// per-server layout dominated peak memory.
     blocks: Vec<BlockScratch>,
     /// Pre-hedge per-server latency populations (hedging only).
     pristine: Vec<Vec<f32>>,
@@ -519,67 +521,47 @@ impl ClusterSim {
             })
         };
 
-        let mut outcomes = dispatch(servers, threads, &worker, cells, blocks)?;
+        // Threads claim servers largest share first, so the hottest
+        // servers start early and the tail evens out across threads.
+        let mut order: Vec<usize> = (0..servers).collect();
+        order.sort_by(|&a, &b| shares[b].total_cmp(&shares[a]));
+        let cells = &mut cells[..servers];
+        let mut outcomes = dispatch(&order, threads, &worker, cells, blocks)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
 
-        // Hedged duplicates: a deterministic merge-step pass, in server
-        // order, so the thread count still cannot change the output. A
-        // key whose primary latency exceeded the hedge delay draws a
-        // duplicate attempt from the replica server's *pristine* latency
-        // population (sampled before any hedge updates) and keeps
-        // `min(primary, delay + replica)`.
+        // Hedged duplicates: a key whose primary latency exceeded the
+        // hedge delay draws a duplicate attempt from the replica server's
+        // *pristine* latency population (sampled before any hedge
+        // updates) and keeps `min(primary, delay + replica)`. Each server
+        // reads the pristine copies only and draws from its own stream,
+        // so the pass runs on the worker threads and the thread count
+        // still cannot change the output; results apply in server order.
         if let Some(h) = cfg.client.hedge {
-            let m = servers;
-            if m > 1 {
-                if pristine.len() < m {
-                    pristine.resize_with(m, Vec::new);
+            if servers > 1 {
+                if pristine.len() < servers {
+                    pristine.resize_with(servers, Vec::new);
                 }
-                for (j, pop) in pristine.iter_mut().enumerate().take(m) {
+                for (pop, cell) in pristine.iter_mut().zip(cells.iter()) {
                     pop.clear();
-                    pop.extend_from_slice(cells[lane_pos(servers, threads, j)].cols.s());
+                    pop.extend_from_slice(cell.cols.s());
                 }
-                for (j, out) in outcomes.iter_mut().enumerate() {
-                    let replica = &pristine[(j + 1) % m];
-                    if replica.is_empty() {
-                        continue;
-                    }
-                    let ServerCell { cols, flags, .. } = &mut cells[lane_pos(servers, threads, j)];
-                    let mut rng = stream_rng(cfg.seed, 3_000_000 + j as u64);
-                    let mut latency = StreamingStats::new();
-                    let mut sketch = QuantileSketch::new();
-                    let mut degraded_latency = StreamingStats::new();
-                    let mut healthy_latency = StreamingStats::new();
-                    for (i, slot) in cols.s_mut().iter_mut().enumerate() {
-                        let forced = flags[i] & FLAG_FORCED != 0;
-                        let mut s = f64::from(*slot);
-                        if !forced && s > h.delay {
-                            out.summary.resilience.hedges_sent += 1;
-                            let k = (rng.next_u64() % replica.len() as u64) as usize;
-                            let (eff, _) = hedge_outcome(s, h.delay, f64::from(replica[k]));
-                            // A win must be observable at the f32
-                            // precision records are stored at, so the
-                            // counter and the records never disagree.
-                            let eff32 = eff as f32;
-                            if eff32 < *slot {
-                                out.summary.resilience.hedges_won += 1;
-                                *slot = eff32;
-                                s = f64::from(eff32);
-                            }
-                        }
-                        latency.push(s);
-                        sketch.push(s);
-                        if forced {
-                        } else if flags[i] & FLAG_DEGRADED != 0 {
-                            degraded_latency.push(s);
-                        } else {
-                            healthy_latency.push(s);
-                        }
-                    }
+                let pristine = &pristine[..servers];
+                let hedge = |j: usize, cell: &mut ServerCell, _: &mut BlockScratch| {
+                    let replica = &pristine[(j + 1) % servers];
+                    (!replica.is_empty()).then(|| hedge_server(cfg.seed, j, h.delay, replica, cell))
+                };
+                let hedged = dispatch(&order, threads, &hedge, cells, blocks);
+                for (out, hedged) in outcomes.iter_mut().zip(hedged) {
+                    let Some(hd) = hedged else { continue };
+                    out.summary.resilience.hedges_sent += hd.sent;
+                    out.summary.resilience.hedges_won += hd.won;
                     // The summaries must describe the effective (post-
-                    // hedge) latencies; rebuild them from the records.
-                    out.summary.latency = latency;
-                    out.summary.sketch = sketch;
-                    out.summary.degraded_latency = degraded_latency;
-                    out.summary.healthy_latency = healthy_latency;
+                    // hedge) latencies; they were rebuilt from the records.
+                    out.summary.latency = hd.latency;
+                    out.summary.sketch = hd.sketch;
+                    out.summary.degraded_latency = hd.degraded_latency;
+                    out.summary.healthy_latency = hd.healthy_latency;
                 }
             }
         }
@@ -591,8 +573,7 @@ impl ClusterSim {
         let mut utilization = Vec::with_capacity(outcomes.len());
         let mut total_keys = 0u64;
         let mut total_misses = 0u64;
-        for (j, out) in outcomes.into_iter().enumerate() {
-            let cell = &mut cells[lane_pos(servers, threads, j)];
+        for (out, cell) in outcomes.into_iter().zip(cells.iter_mut()) {
             total_keys += out.keys;
             // Regular cache misses only: forced misses are accounted
             // separately (they reach the database but are a fault
@@ -613,7 +594,7 @@ impl ClusterSim {
         // stable-sorted) — exactly the order the previous global stable
         // sort over the concatenated stream produced, without an
         // O(K log K) single-threaded pass over every miss.
-        merge_miss_shards(servers, threads, cells, all_misses);
+        merge_miss_shards(cells, all_misses);
         let shards = cfg.effective_db_shards();
         let mut db_rng = stream_rng(cfg.seed, 2_000_000);
         let mut db_latency = StreamingStats::new();
@@ -706,31 +687,22 @@ impl Ord for MergeHead {
 /// `(time, server, push order)` order via a binary heap over the M
 /// stream heads: `O(K log M)` with `K` total misses, versus
 /// `O(K log K)` for the old concatenate-and-sort.
-fn merge_miss_shards(
-    servers: usize,
-    threads: usize,
-    cells: &[ServerCell],
-    all_misses: &mut Vec<MissArrival>,
-) {
+fn merge_miss_shards(cells: &[ServerCell], all_misses: &mut Vec<MissArrival>) {
     all_misses.clear();
-    let total: usize = (0..servers)
-        .map(|j| cells[lane_pos(servers, threads, j)].misses.len())
-        .sum();
-    all_misses.reserve(total);
-    let mut next = vec![0usize; servers];
-    let mut heap = std::collections::BinaryHeap::with_capacity(servers);
-    for j in 0..servers {
-        let shard = &cells[lane_pos(servers, threads, j)].misses;
-        if !shard.is_empty() {
+    all_misses.reserve(cells.iter().map(|c| c.misses.len()).sum());
+    let mut next = vec![0usize; cells.len()];
+    let mut heap = std::collections::BinaryHeap::with_capacity(cells.len());
+    for (j, cell) in cells.iter().enumerate() {
+        if let Some(m) = cell.misses.first() {
             heap.push(std::cmp::Reverse(MergeHead {
-                time: shard[0].time,
+                time: m.time,
                 server: j as u32,
             }));
         }
     }
     while let Some(std::cmp::Reverse(MergeHead { server, .. })) = heap.pop() {
         let j = server as usize;
-        let shard = &cells[lane_pos(servers, threads, j)].misses;
+        let shard = &cells[j].misses;
         let pos = next[j];
         all_misses.push(shard[pos]);
         next[j] = pos + 1;
@@ -743,73 +715,117 @@ fn merge_miss_shards(
     }
 }
 
-/// Number of servers thread `lane` handles: servers `j ≡ lane (mod
-/// threads)`.
-fn lane_len(servers: usize, threads: usize, lane: usize) -> usize {
-    (servers + threads - 1 - lane) / threads
+/// One server's hedge pass (see [`ClusterSim::run_with`]).
+struct Hedged {
+    sent: u64,
+    won: u64,
+    latency: StreamingStats,
+    sketch: QuantileSketch,
+    degraded_latency: StreamingStats,
+    healthy_latency: StreamingStats,
 }
 
-/// Position of server `j`'s cell in the lane-major cell layout: lane
-/// `j % threads` occupies a contiguous block, inside which `j` sits at
-/// slot `j / threads`. Identity when `threads == 1`.
-fn lane_pos(servers: usize, threads: usize, j: usize) -> usize {
-    let lane = j % threads;
-    let offset: usize = (0..lane).map(|l| lane_len(servers, threads, l)).sum();
-    offset + j / threads
+/// Applies hedging to server `j`'s columns in place, drawing replica
+/// latencies from `replica` with the server's own hedge stream, and
+/// rebuilds its summaries from the effective latencies.
+fn hedge_server(seed: u64, j: usize, delay: f64, replica: &[f32], cell: &mut ServerCell) -> Hedged {
+    let ServerCell { cols, flags, .. } = cell;
+    let mut rng = stream_rng(seed, 3_000_000 + j as u64);
+    let mut hd = Hedged {
+        sent: 0,
+        won: 0,
+        latency: StreamingStats::new(),
+        sketch: QuantileSketch::new(),
+        degraded_latency: StreamingStats::new(),
+        healthy_latency: StreamingStats::new(),
+    };
+    for (slot, &flag) in cols.s_mut().iter_mut().zip(flags.iter()) {
+        let forced = flag & FLAG_FORCED != 0;
+        let mut s = f64::from(*slot);
+        if !forced && s > delay {
+            hd.sent += 1;
+            let k = (rng.next_u64() % replica.len() as u64) as usize;
+            let (eff, _) = hedge_outcome(s, delay, f64::from(replica[k]));
+            // A win must be observable at the f32 precision records are
+            // stored at, so the counter and the records never disagree.
+            let eff32 = eff as f32;
+            if eff32 < *slot {
+                hd.won += 1;
+                *slot = eff32;
+                s = f64::from(eff32);
+            }
+        }
+        hd.latency.push(s);
+        hd.sketch.push(s);
+        if forced {
+        } else if flag & FLAG_DEGRADED != 0 {
+            hd.degraded_latency.push(s);
+        } else {
+            hd.healthy_latency.push(s);
+        }
+    }
+    hd
 }
 
-/// Runs `worker(j, cell)` for every server on up to `threads` scoped
-/// threads, returning outcomes in server order. Servers are interleaved
-/// round-robin across threads so a hot server does not serialize a whole
-/// chunk; the lane-major cell layout makes each thread's cells one
-/// contiguous `split_at_mut` slice, so dispatch allocates nothing beyond
-/// the outcome slots.
-fn dispatch<F>(
-    servers: usize,
+/// Runs `work(j, cell, block)` for every server on up to `threads`
+/// scoped threads and returns the results in server order. Threads claim
+/// servers from a shared cursor over `order` (largest share first); the
+/// work touches only server `j`'s cell and the thread's block scratch,
+/// which every pipeline clears before use, so which thread runs which
+/// server cannot change a result.
+fn dispatch<T, F>(
+    order: &[usize],
     threads: usize,
-    worker: &F,
+    work: &F,
     cells: &mut [ServerCell],
     blocks: &mut [BlockScratch],
-) -> Result<Vec<ServerOutcome>, SimError>
+) -> Vec<T>
 where
-    F: Fn(usize, &mut ServerCell, &mut BlockScratch) -> Result<ServerOutcome, SimError> + Sync,
+    T: Send,
+    F: Fn(usize, &mut ServerCell, &mut BlockScratch) -> T + Sync,
 {
-    let mut slots: Vec<Option<Result<ServerOutcome, SimError>>> = Vec::new();
-    slots.resize_with(servers, || None);
     if threads <= 1 {
         let block = &mut blocks[0];
-        for (j, (slot, cell)) in slots.iter_mut().zip(cells.iter_mut()).enumerate() {
-            *slot = Some(worker(j, cell, block));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let mut rest_cells = &mut cells[..servers];
-            let mut rest_slots = &mut slots[..];
-            let mut rest_blocks = &mut blocks[..threads];
-            for lane in 0..threads {
-                let n = lane_len(servers, threads, lane);
-                let (cell_lane, next_cells) = rest_cells.split_at_mut(n);
-                let (slot_lane, next_slots) = rest_slots.split_at_mut(n);
-                let (block_lane, next_blocks) = rest_blocks.split_at_mut(1);
-                rest_cells = next_cells;
-                rest_slots = next_slots;
-                rest_blocks = next_blocks;
-                scope.spawn(move || {
-                    let block = &mut block_lane[0];
-                    for (i, (slot, cell)) in slot_lane.iter_mut().zip(cell_lane).enumerate() {
-                        *slot = Some(worker(lane + i * threads, cell, block));
-                    }
-                });
-            }
-        });
+        return cells
+            .iter_mut()
+            .enumerate()
+            .map(|(j, cell)| work(j, cell, block))
+            .collect();
     }
-    // Un-permute from lane-major back to server order.
-    (0..servers)
-        .map(|j| {
-            slots[lane_pos(servers, threads, j)]
-                .take()
-                .expect("server worker slot unfilled")
-        })
+    let servers = cells.len();
+    let cells: Vec<Mutex<&mut ServerCell>> = cells.iter_mut().map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    let (cells, next) = (&cells, &next);
+    let claimed: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = blocks[..threads]
+            .iter_mut()
+            .map(|block| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    // The cursor only hands out indices; the cells and
+                    // results travel through the mutexes and the joins.
+                    while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let mut cell = cells[j]
+                            .lock()
+                            .expect("no worker panics while holding a server cell");
+                        done.push((j, work(j, &mut cell, block)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("server worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(servers).collect();
+    for (j, t) in claimed.into_iter().flatten() {
+        slots[j] = Some(t);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every server is claimed"))
         .collect()
 }
 
@@ -1340,18 +1356,29 @@ mod tests {
     }
 
     #[test]
-    fn lane_layout_covers_every_server_once() {
-        for servers in [1usize, 2, 3, 4, 7, 16] {
-            for threads in 1..=servers {
-                let total: usize = (0..threads).map(|l| lane_len(servers, threads, l)).sum();
-                assert_eq!(total, servers, "{servers} servers / {threads} threads");
-                let mut seen = vec![false; servers];
-                for j in 0..servers {
-                    let pos = lane_pos(servers, threads, j);
-                    assert!(!seen[pos], "position {pos} assigned twice");
-                    seen[pos] = true;
+    fn dispatch_runs_every_server_once_in_server_order() {
+        for servers in [1usize, 2, 3, 7, 16] {
+            for threads in 1..=4 {
+                let mut cells: Vec<ServerCell> = std::iter::repeat_with(ServerCell::default)
+                    .take(servers)
+                    .collect();
+                let mut blocks: Vec<BlockScratch> = std::iter::repeat_with(BlockScratch::new)
+                    .take(threads)
+                    .collect();
+                let order: Vec<usize> = (0..servers).rev().collect();
+                let work = |j: usize, cell: &mut ServerCell, _: &mut BlockScratch| {
+                    cell.flags.push(j as u8);
+                    j * 10
+                };
+                let out = dispatch(&order, threads, &work, &mut cells, &mut blocks);
+                assert_eq!(out, (0..servers).map(|j| j * 10).collect::<Vec<_>>());
+                for (j, cell) in cells.iter().enumerate() {
+                    assert_eq!(
+                        cell.flags,
+                        [j as u8],
+                        "{servers} servers / {threads} threads"
+                    );
                 }
-                assert!(seen.iter().all(|&b| b));
             }
         }
     }

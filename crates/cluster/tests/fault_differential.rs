@@ -126,11 +126,26 @@ fn empty_plan_is_bit_identical_at_every_thread_count() {
 }
 
 #[test]
-fn timeout_that_never_fires_still_changes_nothing() {
-    // A timeout far above any sojourn takes the fault-aware branch but
-    // never fails an attempt: the draw sequence must stay identical.
-    let cfg = golden_config().client(ClientPolicy::none().timeout(1e3));
-    let out = ClusterSim::run(&cfg).unwrap();
-    assert_matches_golden(&out, "inert timeout");
-    assert!(!out.resilience().any());
+fn inert_timeout_matches_a_unit_slowdown_everywhere() {
+    // A timeout, even one far above any sojourn, moves every server onto
+    // the lane pipeline, so the golden above no longer describes it. Its
+    // reference is the same pipeline with nothing else changed: a ×1.0
+    // slowdown window on every server draws exactly the same numbers, so
+    // every per-key record and statistic must agree bit for bit.
+    let servers = golden_config().params.servers();
+    let unit = (0..servers).fold(FaultPlan::none(), |plan, j| {
+        plan.slowdown(j, 0.0, 1e-9, 1.0)
+    });
+    let timed =
+        ClusterSim::run(&golden_config().client(ClientPolicy::none().timeout(1e3))).unwrap();
+    let slowed = ClusterSim::run(&golden_config().fault_plan(unit)).unwrap();
+    assert!(!timed.resilience().any());
+    assert_eq!(timed.total_keys(), slowed.total_keys());
+    assert_eq!(records_fingerprint(&timed), records_fingerprint(&slowed));
+    for (a, b) in timed.summaries().iter().zip(slowed.summaries()) {
+        assert_eq!(a.latency, b.latency);
+        assert_eq!(a.counters, b.counters);
+    }
+    assert_eq!(timed.db_latency_stats(), slowed.db_latency_stats());
+    assert_eq!(timed.miss_ratio().to_bits(), slowed.miss_ratio().to_bits());
 }

@@ -305,6 +305,52 @@ impl BatchArrivals<GapLaw> {
         }
         true
     }
+
+    /// Generates up to `batches` batches (at least one) with gaps drawn
+    /// from `gap_rng` and batch sizes from `size_rng` — one substream per
+    /// purpose, each consumed strictly in batch order, so how a run is cut
+    /// into calls never changes which draw a batch gets.
+    ///
+    /// Gaps come from the SIMD bits kernel where the law has one
+    /// ([`GapLaw::gaps_from_bits`]) and from [`GapLaw::fill`] otherwise;
+    /// sizes from [`GeometricBatch::fill_u64`]. Times are the in-order
+    /// prefix sum off the carried clock. Batches at or past `horizon` are
+    /// dropped (with their draws: nothing after the horizon is ever used)
+    /// and the call returns `true` — the stream is exhausted. The kept
+    /// batches are in [`ArrivalScratch::times`]/[`ArrivalScratch::sizes`].
+    pub fn fill_block_lanes<R: RngCore>(
+        &mut self,
+        gap_rng: &mut R,
+        size_rng: &mut R,
+        horizon: f64,
+        batches: usize,
+        scratch: &mut ArrivalScratch,
+    ) -> bool {
+        scratch.clear();
+        let n = batches.max(1);
+        if self.gaps.has_bits_kernel() {
+            scratch.gap_bits.extend((0..n).map(|_| gap_rng.next_u64()));
+            self.gaps
+                .gaps_from_bits(&scratch.gap_bits, &mut scratch.gaps);
+        } else {
+            scratch.gaps.resize(n, 0.0);
+            self.gaps.fill(gap_rng, &mut scratch.gaps);
+        }
+        scratch.sizes.resize(n, 0);
+        self.batch.fill_u64(size_rng, &mut scratch.sizes);
+        let mut clock = self.clock;
+        for &g in &scratch.gaps {
+            clock += g;
+            if clock >= horizon {
+                break;
+            }
+            scratch.times.push(clock);
+        }
+        self.clock = clock;
+        let kept = scratch.times.len();
+        scratch.sizes.truncate(kept);
+        kept < n
+    }
 }
 
 /// Generates batches until `horizon` (exclusive), invoking `f` for each
@@ -483,6 +529,43 @@ mod tests {
                     );
                     assert_eq!(rng.next_u64(), want_next, "min_keys={min_keys}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_blocks_are_invisible_in_the_batch_stream() {
+        use memlat_dist::Deterministic;
+        let laws = [
+            GapLaw::from(GeneralizedPareto::facebook(0.15, 56_250.0).unwrap()),
+            GapLaw::from(Deterministic::new(2e-5).unwrap()),
+        ];
+        for law in &laws {
+            let run = |batches: usize| {
+                let mut s = BatchArrivals::new(law.clone(), 0.1).unwrap();
+                let mut gaps = rand::rngs::StdRng::seed_from_u64(7);
+                let mut sizes = rand::rngs::StdRng::seed_from_u64(8);
+                let mut scratch = ArrivalScratch::new();
+                let mut out = Vec::new();
+                loop {
+                    let crossed =
+                        s.fill_block_lanes(&mut gaps, &mut sizes, 0.02, batches, &mut scratch);
+                    out.extend(
+                        scratch
+                            .times()
+                            .iter()
+                            .zip(scratch.sizes())
+                            .map(|(t, b)| (t.to_bits(), *b)),
+                    );
+                    if crossed {
+                        return out;
+                    }
+                }
+            };
+            let want = run(1);
+            assert!(want.len() > 500);
+            for batches in [7, 1024, 1 << 16] {
+                assert_eq!(run(batches), want, "batches={batches}");
             }
         }
     }

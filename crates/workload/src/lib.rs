@@ -46,7 +46,7 @@ pub mod routing;
 
 pub use arrival::{ArrivalScratch, BatchArrivals};
 pub use placement::ConsistentHashRing;
-pub use popularity::{alias_builds, WeightedAlias, ZipfPopularity};
+pub use popularity::{alias_builds, ZipfPopularity};
 pub use request::RequestGenerator;
 pub use retry::RetryQueue;
 pub use routing::RoutedKeyspace;

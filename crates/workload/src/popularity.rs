@@ -69,6 +69,36 @@ fn vose(mut scaled: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
     (prob, alias)
 }
 
+/// Validates raw weights and builds their Vose table: cell `i` keeps
+/// index `i` with probability `prob[i]` and yields `alias[i]` otherwise.
+///
+/// # Errors
+///
+/// Returns [`ParamError`] if `weights` is empty, holds a negative or
+/// non-finite entry, sums to zero, or exceeds `u32::MAX` entries.
+pub(crate) fn weighted_vose(weights: &[f64]) -> Result<(Vec<f64>, Vec<u32>), ParamError> {
+    if weights.is_empty() {
+        return Err(ParamError::new("alias weights must be non-empty"));
+    }
+    if weights.len() > u32::MAX as usize {
+        return Err(ParamError::new("alias table limited to u32::MAX cells"));
+    }
+    let mut total = 0.0f64;
+    for &w in weights {
+        if !w.is_finite() || w < 0.0 {
+            return Err(ParamError::new("alias weights must be finite and >= 0"));
+        }
+        total += w;
+    }
+    if total <= 0.0 {
+        return Err(ParamError::new("alias weights must have positive mass"));
+    }
+    let n = weights.len();
+    Ok(vose(
+        weights.iter().map(|&w| w / total * n as f64).collect(),
+    ))
+}
+
 impl AliasTable {
     /// Builds the table from the Zipf pmf in `O(n)` (Vose's method).
     fn build(zipf: &Zipf) -> Self {
@@ -90,93 +120,6 @@ impl AliasTable {
             i as KeyId
         } else {
             KeyId::from(self.alias[i])
-        }
-    }
-}
-
-/// Walker/Vose alias sampler over an explicit non-negative weight
-/// vector: one uniform and two array reads per draw, regardless of the
-/// weight shape.
-///
-/// This is the general-purpose sibling of the private Zipf alias table:
-/// it powers conditional key populations (e.g. the keys a single server
-/// owns under consistent-hash routing, see
-/// [`crate::routing::RoutedKeyspace`]) where the weights are an
-/// arbitrary subset of a pmf rather than a full Zipf law. Construction
-/// does not touch the [`alias_builds`] counter — that counter audits the
-/// multi-megabyte full-keyspace tables only.
-///
-/// # Examples
-///
-/// ```
-/// use memlat_workload::WeightedAlias;
-/// use rand::SeedableRng;
-///
-/// let table = WeightedAlias::new(&[3.0, 1.0]).unwrap();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let i = table.sample(&mut rng);
-/// assert!(i < 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WeightedAlias {
-    prob: Vec<f64>,
-    alias: Vec<u32>,
-}
-
-impl WeightedAlias {
-    /// Builds the table from raw weights in `O(n)`; weights need not be
-    /// normalized.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamError`] if `weights` is empty, holds a negative or
-    /// non-finite entry, sums to zero, or exceeds `u32::MAX` entries.
-    pub fn new(weights: &[f64]) -> Result<Self, ParamError> {
-        if weights.is_empty() {
-            return Err(ParamError::new("alias weights must be non-empty"));
-        }
-        if weights.len() > u32::MAX as usize {
-            return Err(ParamError::new("alias table limited to u32::MAX cells"));
-        }
-        let mut total = 0.0f64;
-        for &w in weights {
-            if !w.is_finite() || w < 0.0 {
-                return Err(ParamError::new("alias weights must be finite and >= 0"));
-            }
-            total += w;
-        }
-        if total <= 0.0 {
-            return Err(ParamError::new("alias weights must have positive mass"));
-        }
-        let n = weights.len();
-        let scaled: Vec<f64> = weights.iter().map(|&w| w / total * n as f64).collect();
-        let (prob, alias) = vose(scaled);
-        Ok(Self { prob, alias })
-    }
-
-    /// Number of cells (= number of weights).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table has no cells (never true for a built table).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draws a 0-based cell index from one uniform.
-    #[must_use]
-    pub fn sample(&self, rng: &mut dyn RngCore) -> usize {
-        let n = self.prob.len();
-        let x = memlat_dist::open_unit(rng) * n as f64;
-        let i = (x as usize).min(n - 1);
-        let v = x - i as f64;
-        if v < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
         }
     }
 }
@@ -424,36 +367,31 @@ mod tests {
     }
 
     #[test]
-    fn weighted_alias_matches_weights_statistically() {
+    fn weighted_vose_reconstructs_the_weights() {
+        // Each cell's kept and aliased mass must give the weights back,
+        // and a zero-weight entry must carry no mass at all.
         let weights = [5.0, 0.0, 1.0, 3.0, 1.0];
         let total: f64 = weights.iter().sum();
-        let table = WeightedAlias::new(&weights).unwrap();
-        assert_eq!(table.len(), weights.len());
-        assert!(!table.is_empty());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
-        let n = 200_000usize;
-        let mut counts = [0u64; 5];
-        for _ in 0..n {
-            counts[table.sample(&mut rng)] += 1;
+        let (prob, alias) = weighted_vose(&weights).unwrap();
+        let n = weights.len() as f64;
+        let mut implied = [0.0f64; 5];
+        for i in 0..weights.len() {
+            implied[i] += prob[i] / n;
+            implied[alias[i] as usize] += (1.0 - prob[i]) / n;
         }
-        assert_eq!(counts[1], 0, "zero-weight cell must never be drawn");
-        for (i, &c) in counts.iter().enumerate() {
-            let expect = weights[i] / total;
-            let got = c as f64 / n as f64;
-            assert!(
-                (got - expect).abs() < 0.01,
-                "cell {i}: got {got} expect {expect}"
-            );
+        assert_eq!(implied[1], 0.0, "zero-weight cell must never be drawn");
+        for (i, &m) in implied.iter().enumerate() {
+            assert!((m - weights[i] / total).abs() < 1e-12, "cell {i}: {m}");
         }
     }
 
     #[test]
-    fn weighted_alias_rejects_bad_weights() {
-        assert!(WeightedAlias::new(&[]).is_err());
-        assert!(WeightedAlias::new(&[0.0, 0.0]).is_err());
-        assert!(WeightedAlias::new(&[1.0, -0.5]).is_err());
-        assert!(WeightedAlias::new(&[1.0, f64::NAN]).is_err());
-        assert!(WeightedAlias::new(&[f64::INFINITY]).is_err());
+    fn weighted_vose_rejects_bad_weights() {
+        assert!(weighted_vose(&[]).is_err());
+        assert!(weighted_vose(&[0.0, 0.0]).is_err());
+        assert!(weighted_vose(&[1.0, -0.5]).is_err());
+        assert!(weighted_vose(&[1.0, f64::NAN]).is_err());
+        assert!(weighted_vose(&[f64::INFINITY]).is_err());
     }
 
     #[test]

@@ -32,21 +32,44 @@
 //! # }
 //! ```
 
-use memlat_dist::ParamError;
+use memlat_dist::{open_unit_from_bits, ParamError};
 use rand::RngCore;
 
 use crate::placement::ConsistentHashRing;
-use crate::popularity::{WeightedAlias, ZipfPopularity};
+use crate::popularity::{weighted_vose, ZipfPopularity};
 use crate::KeyId;
+
+/// One slot of a server's conditional alias sampler, packed so a draw
+/// reads a single 16-byte cell: the slot's keep probability, the key the
+/// slot stands for, and the key of its alias slot.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(16))]
+struct AliasCell {
+    prob: f64,
+    key: u32,
+    alias: u32,
+}
+
+/// The Walker/Vose draw over one server's cells from one raw `next_u64`.
+#[inline]
+fn draw(cells: &[AliasCell], bits: u64) -> KeyId {
+    let n = cells.len();
+    let x = open_unit_from_bits(bits) * n as f64;
+    let i = (x as usize).min(n - 1);
+    let v = x - i as f64;
+    let c = &cells[i];
+    KeyId::from(if v < c.prob { c.key } else { c.alias })
+}
 
 /// The global Zipf key space split across servers by a consistent-hash
 /// ring: exact per-server load shares plus per-server conditional key
 /// samplers.
 ///
 /// Construction walks the key space once (`O(keys)` ring lookups) and
-/// builds one [`WeightedAlias`] per server over its owned keys, so it is
-/// meant to be built once per configuration and shared (e.g. behind an
-/// `Arc`) across workers.
+/// builds one alias table per server over its owned keys, stored as one
+/// 16-byte cell per slot (16 bytes per key in total), so it is meant to
+/// be built once per configuration and shared (e.g. behind an `Arc`)
+/// across workers.
 #[derive(Debug)]
 pub struct RoutedKeyspace {
     ring: ConsistentHashRing,
@@ -54,10 +77,10 @@ pub struct RoutedKeyspace {
     skew: f64,
     vnodes: usize,
     shares: Vec<f64>,
-    /// Per server: owned key ids, ascending; alias cells index into this.
-    owned: Vec<Vec<KeyId>>,
-    /// Per server: conditional sampler over `owned` (None iff no keys).
-    samplers: Vec<Option<WeightedAlias>>,
+    /// Per server: the conditional sampler's cells, slot `i` standing for
+    /// the server's `i`-th owned key in ascending id order (empty iff the
+    /// server owns no keys).
+    cells: Vec<Vec<AliasCell>>,
 }
 
 impl RoutedKeyspace {
@@ -68,8 +91,8 @@ impl RoutedKeyspace {
     ///
     /// Returns [`ParamError`] if `servers` or `vnodes` is zero, or the
     /// key space is too large to walk (bounded at 2²⁴ keys — the walk is
-    /// `O(keys · log(servers · vnodes))` and the owned-key tables are
-    /// ~24 bytes per key).
+    /// `O(keys · log(servers · vnodes))` and the cell tables are 16 bytes
+    /// per key).
     pub fn new(
         popularity: &ZipfPopularity,
         servers: usize,
@@ -89,13 +112,14 @@ impl RoutedKeyspace {
             )));
         }
         let ring = ConsistentHashRing::new(servers, vnodes);
-        let mut owned: Vec<Vec<KeyId>> = vec![Vec::new(); servers];
+        let mut owned: Vec<Vec<u32>> = vec![Vec::new(); servers];
         let mut weights: Vec<Vec<f64>> = vec![Vec::new(); servers];
         let mut mass = vec![0.0f64; servers];
         for k in 0..keys {
             let j = ring.server_of(k);
             let w = popularity.access_probability(k);
-            owned[j].push(k);
+            // Lossless: `keys` is bounded at 2²⁴ above.
+            owned[j].push(k as u32);
             weights[j].push(w);
             mass[j] += w;
         }
@@ -103,14 +127,24 @@ impl RoutedKeyspace {
         // even where the pmf's own normalization carries rounding.
         let total: f64 = mass.iter().sum();
         let shares: Vec<f64> = mass.iter().map(|&m| m / total).collect();
-        let samplers: Vec<Option<WeightedAlias>> = weights
+        let cells = owned
             .iter()
-            .map(|w| {
+            .zip(&weights)
+            .map(|(keys, w)| {
                 if w.is_empty() {
-                    Ok(None)
-                } else {
-                    WeightedAlias::new(w).map(Some)
+                    return Ok(Vec::new());
                 }
+                let (prob, alias) = weighted_vose(w)?;
+                Ok(prob
+                    .iter()
+                    .zip(&alias)
+                    .zip(keys)
+                    .map(|((&prob, &a), &key)| AliasCell {
+                        prob,
+                        key,
+                        alias: keys[a as usize],
+                    })
+                    .collect())
             })
             .collect::<Result<_, ParamError>>()?;
         Ok(Self {
@@ -119,8 +153,7 @@ impl RoutedKeyspace {
             skew: popularity.skew(),
             vnodes,
             shares,
-            owned,
-            samplers,
+            cells,
         })
     }
 
@@ -162,9 +195,8 @@ impl RoutedKeyspace {
     }
 
     /// The keys a server owns, in ascending id order.
-    #[must_use]
-    pub fn owned_keys(&self, server: usize) -> &[KeyId] {
-        &self.owned[server]
+    pub fn owned_keys(&self, server: usize) -> impl ExactSizeIterator<Item = KeyId> + '_ {
+        self.cells[server].iter().map(|c| KeyId::from(c.key))
     }
 
     /// Draws a key from the server's conditional popularity law
@@ -177,10 +209,28 @@ impl RoutedKeyspace {
     /// correctly thinned stream never asks it for one).
     #[must_use]
     pub fn sample_key(&self, server: usize, rng: &mut dyn RngCore) -> KeyId {
-        let sampler = self.samplers[server]
-            .as_ref()
-            .expect("zero-share server received a key draw");
-        self.owned[server][sampler.sample(rng)]
+        draw(self.owned_cells(server), rng.next_u64())
+    }
+
+    /// Bulk [`Self::sample_key`]: appends one key per raw `next_u64` draw
+    /// in `bits` onto `out`, bit-identical to calling `sample_key` at
+    /// each original draw site.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the server owns no keys and `bits` is non-empty.
+    pub fn sample_keys_from_bits(&self, server: usize, bits: &[u64], out: &mut Vec<KeyId>) {
+        if bits.is_empty() {
+            return;
+        }
+        let cells = self.owned_cells(server);
+        out.extend(bits.iter().map(|&b| draw(cells, b)));
+    }
+
+    fn owned_cells(&self, server: usize) -> &[AliasCell] {
+        let cells = &self.cells[server];
+        assert!(!cells.is_empty(), "zero-share server received a key draw");
+        cells
     }
 }
 
@@ -197,6 +247,37 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-12, "sum={sum}");
         let total_owned: usize = (0..5).map(|j| routed.owned_keys(j).len()).sum();
         assert_eq!(total_owned as u64, routed.keys());
+    }
+
+    #[test]
+    fn cell_draws_match_the_alias_table_over_the_owned_keys() {
+        // The packed cells are the Vose table over the owned keys'
+        // masses: scalar and bulk draws both return exactly the owned key
+        // that table's cell index names.
+        use rand::RngCore;
+        let pop = ZipfPopularity::new(20_000, 0.99).unwrap();
+        let routed = RoutedKeyspace::new(&pop, 3, 16).unwrap();
+        for j in 0..3 {
+            let owned: Vec<KeyId> = routed.owned_keys(j).collect();
+            let w: Vec<f64> = owned.iter().map(|&k| pop.access_probability(k)).collect();
+            let (prob, alias) = weighted_vose(&w).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(40 + j as u64);
+            let mut replay = rng.clone();
+            let bits: Vec<u64> = (0..2_000).map(|_| rng.next_u64()).collect();
+            let mut bulk = Vec::new();
+            routed.sample_keys_from_bits(j, &bits, &mut bulk);
+            for (i, (&b, &k)) in bits.iter().zip(&bulk).enumerate() {
+                let x = memlat_dist::open_unit_from_bits(b) * owned.len() as f64;
+                let c = (x as usize).min(owned.len() - 1);
+                let slot = if x - (c as f64) < prob[c] {
+                    c
+                } else {
+                    alias[c] as usize
+                };
+                assert_eq!(owned[slot], k, "server {j} draw {i}");
+                assert_eq!(routed.sample_key(j, &mut replay), k, "server {j} draw {i}");
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! This binary holds only the check below, so nothing else builds a
 //! table while it runs.
 
-use memlat_workload::{alias_builds, WeightedAlias};
+use memlat_workload::{alias_builds, RoutedKeyspace, ZipfPopularity};
 
 #[test]
-fn weighted_alias_skips_the_build_counter() {
-    // The counter audits full-keyspace Zipf tables; subset samplers
-    // (one per server per routed config) must not pollute it.
+fn routed_cells_skip_the_build_counter() {
+    // The counter audits full-keyspace Zipf tables; the per-server
+    // conditional samplers of a routed keyspace must not pollute it.
+    let pop = ZipfPopularity::new(1_000, 1.0).unwrap();
     let before = alias_builds();
-    let _t = WeightedAlias::new(&[1.0, 2.0, 3.0]).unwrap();
+    let _routed = RoutedKeyspace::new(&pop, 4, 16).unwrap();
     assert_eq!(alias_builds(), before);
 }
